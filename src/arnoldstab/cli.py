@@ -79,16 +79,23 @@ _ARG_TYPES = {
 }
 
 
+def _read_input(reader, path, **kwargs):
+    """Read an input file; a missing, unreadable or malformed file is a
+    configuration error."""
+    try:
+        return reader(path, **kwargs)
+    except (OSError, GridError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc))
+
+
 def _build_domain(args):
     if args.domain == "annulus":
         return grid.build_annulus(args.rin, args.rout, args.res)
     if args.domain == "mask":
         if not args.mask_file:
             raise ConfigError("--domain mask requires --mask-file")
-        if args.mask_file.endswith(".pgm"):
-            mask = grid.mask_from_pgm(args.mask_file)
-        else:
-            mask = grid.mask_from_rle(args.mask_file)
+        reader = grid.mask_from_pgm if args.mask_file.endswith(".pgm") else grid.mask_from_rle
+        mask = _read_input(reader, args.mask_file)
         return grid.label_components(mask, h=1.0 / args.res)
     raise ConfigError("unknown domain kind %r" % args.domain)
 
@@ -186,7 +193,7 @@ def _cmd_harmonic(args):
 
 def _load_omega(args, dom):
     if args.omega:
-        return grid.read_field(args.omega, domain=dom)
+        return _read_input(grid.read_field, args.omega, domain=dom)
     if args.omega_const is not None:
         return dom.constant(float(args.omega_const))
     return dom.zeros()

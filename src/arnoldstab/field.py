@@ -31,6 +31,16 @@ from .errors import GridError, SolverError
 _FOUR_STRUCT = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+def _factor(mat, what):
+    """Sparse LU with the minimum-degree ordering of A^T + A, which suits the
+    symmetric matrices here: at res 64 it halves the fill of the default
+    column ordering, and the triangular solves speed up with it."""
+    try:
+        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError("%s factorization failed: %s" % (what, exc))
+
+
 class CondensedSystem:
     """Sparse factorized form of the flux-constrained Poisson problem."""
 
@@ -88,12 +98,10 @@ class CondensedSystem:
             )
         else:
             K = self.Ah2
-        try:
-            self._lu_K = splu(K)
-        except RuntimeError as exc:  # pragma: no cover - structurally SPD
-            raise SolverError("condensed system factorization failed: %s" % exc)
+        self.K = K
+        self._lu_K = _factor(K, "condensed system")
         self._lu_A = None
-        self._schur = None
+        self.cache = {}  # per-domain spectral data, keyed by its producer
 
     @classmethod
     def of(cls, domain: g.GridDomain) -> "CondensedSystem":
@@ -106,11 +114,18 @@ class CondensedSystem:
     @property
     def lu_A(self):
         if self._lu_A is None:
-            try:
-                self._lu_A = splu(self.Ah2)
-            except RuntimeError as exc:  # pragma: no cover
-                raise SolverError("Dirichlet factorization failed: %s" % exc)
+            self._lu_A = _factor(self.Ah2, "Dirichlet system")
         return self._lu_A
+
+    def shifted_lu(self, d_int):
+        """Factorization of K + diag(d_int, 0): the bordered matrix with a
+        diagonal shift on the interior rows only.  A zero shift returns the
+        cached factorization of K itself."""
+        d = np.broadcast_to(np.asarray(d_int, dtype=float), (self.n_int,))
+        if not d.any():
+            return self._lu_K
+        shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
+        return _factor(self.K + shift, "shifted condensed system")
 
     def solve_green(self, phi_int):
         """u with -lap u = phi and u = 0 on every boundary node."""
@@ -133,17 +148,6 @@ class CondensedSystem:
             for k in range(self.n):
                 out[dom.boundary_ids(k + 1)] = theta[k]
         return out
-
-    def schur_stiffness(self):
-        """C = (Ah2 - M D^-1 M^T) / h^2, the stiffness seen by interior values
-        after eliminating the boundary constants (diagonal unit mass)."""
-        if self._schur is None:
-            S = self.Ah2.copy().tolil()
-            if self.n:
-                Ms = sparse.csc_matrix(self.M)
-                S = (self.Ah2 - Ms @ sparse.diags(1.0 / self.Dk) @ Ms.T).tolil()
-            self._schur = (S.tocsr() / self.h2).tocsc()
-        return self._schur
 
     def theta_of(self, u_int):
         """Boundary constants minimizing the Dirichlet energy for given interior."""

@@ -610,14 +610,21 @@ def read_field(path, domain: GridDomain | None = None) -> ScalarField:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _MAGIC:
+    off = 12 + 24
+    if data[:4] != _MAGIC or len(data) < off:
         raise GridError("not a field file: %s" % path)
     nx, ny = struct.unpack_from("<II", data, 4)
     h, x0, y0 = struct.unpack_from("<ddd", data, 12)
-    off = 12 + 24
+    if len(data) < off + nx * ny:
+        raise GridError("field file %s is truncated in its node tags" % path)
     kinds = np.frombuffer(data, dtype="<u1", count=nx * ny, offset=off).reshape(ny, nx)
     off += nx * ny
     n_nodes = int((kinds != EXTERIOR).sum())
+    if len(data) != off + 8 * n_nodes:
+        raise GridError(
+            "field file %s has %d bytes, its header implies %d"
+            % (path, len(data), off + 8 * n_nodes)
+        )
     values = np.frombuffer(data, dtype="<f8", count=n_nodes, offset=off).copy()
     if domain is not None:
         if (domain.nx, domain.ny) != (nx, ny) or domain.h != h or not np.array_equal(
@@ -627,6 +634,17 @@ def read_field(path, domain: GridDomain | None = None) -> ScalarField:
         return ScalarField(domain, values)
     dom = GridDomain(kinds.copy(), h, origin=(x0, y0))
     return ScalarField(dom, values)
+
+
+def _int_token(tok, path, least):
+    """Integer header or body token of a mask file, at least `least`."""
+    try:
+        val = int(tok)
+    except ValueError:
+        raise GridError("%s: expected an integer, got %r" % (path, tok[:32])) from None
+    if val < least:
+        raise GridError("%s: expected an integer >= %d, got %d" % (path, least, val))
+    return val
 
 
 def mask_from_pgm(path):
@@ -650,10 +668,14 @@ def mask_from_pgm(path):
             i = j
     if not tokens or tokens[0] != b"P5" or len(tokens) < 4:
         raise GridError("not a binary PGM (P5) file: %s" % path)
-    w, hgt, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    w, hgt, maxval = (_int_token(t, path, 1) for t in tokens[1:4])
     if maxval > 255:
         raise GridError("only 8-bit PGM supported")
     i += 1  # single whitespace after maxval
+    if len(data) < i + w * hgt:
+        raise GridError(
+            "PGM file %s is truncated: %d of %d pixels" % (path, max(0, len(data) - i), w * hgt)
+        )
     pix = np.frombuffer(data, dtype=np.uint8, count=w * hgt, offset=i).reshape(hgt, w)
     return pix > maxval // 2
 
@@ -661,20 +683,16 @@ def mask_from_pgm(path):
 def mask_from_rle(path):
     """Boolean mask from run-length text: header 'RLE nx ny', then
     whitespace-separated (count, value) pairs in row-major order."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         tokens = fh.read().split()
-    if not tokens or tokens[0] != "RLE" or len(tokens) < 3:
+    if not tokens or tokens[0] != b"RLE" or len(tokens) < 3:
         raise GridError("not an RLE mask file: %s" % path)
-    nx, ny = int(tokens[1]), int(tokens[2])
+    nx, ny = _int_token(tokens[1], path, 1), _int_token(tokens[2], path, 1)
     body = tokens[3:]
     if len(body) % 2:
         raise GridError("RLE mask has dangling token")
-    flat = np.empty(nx * ny, dtype=bool)
-    pos = 0
-    for c, v in zip(body[::2], body[1::2]):
-        c = int(c)
-        flat[pos : pos + c] = bool(int(v))
-        pos += c
-    if pos != nx * ny:
-        raise GridError("RLE mask covers %d of %d nodes" % (pos, nx * ny))
-    return flat.reshape(ny, nx)
+    counts = [_int_token(c, path, 0) for c in body[::2]]
+    values = [_int_token(v, path, 0) > 0 for v in body[1::2]]
+    if sum(counts) != nx * ny:
+        raise GridError("RLE mask covers %d of %d nodes" % (sum(counts), nx * ny))
+    return np.repeat(np.array(values, dtype=bool), counts).reshape(ny, nx)

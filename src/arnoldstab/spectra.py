@@ -2,11 +2,16 @@
 
 The working space is the discrete analog of fields vanishing on the outer
 boundary and constant on each inner component.  Eliminating the boundary
-constants (which carry no quadrature mass) against the interior values turns
-every problem here into a standard symmetric eigenproblem for the condensed
-stiffness; only extremal eigenvalues are computed, by shifted inverse
-iteration (smallest) or plain power iteration on the inverse operator
-(largest mapped value).
+constants (which carry no quadrature mass) against the interior values gives
+the condensed stiffness C = (Ah2 - M D^-1 M^T) / h^2 with unit mass.  C is
+never formed: its inverse is h^2 times the interior block of the inverse of
+the bordered matrix K of `field.CondensedSystem`.  The smallest eigenvalue of
+C + diag(c), optionally plus a rank-one term, comes from shift-invert Lanczos
+(ARPACK `eigsh`, fixed start vector) with the shift sigma = min(c); each step
+is one solve with K + diag(h^2 (c - sigma), 0), which for constant c is the
+cached factorization of K.  The largest eigenvalue of the circulation-free
+inverse comes from power iteration on the same solve, so lambda * Lambda = 1
+compares two independent methods.
 """
 
 from __future__ import annotations
@@ -14,14 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import grid as g
 from .errors import ConvergenceError, SolverError
 from .field import CondensedSystem
-
-_MAX_ITER = 400
 
 
 @dataclass
@@ -97,64 +99,73 @@ class CriterionReport:
         return ",".join(vals)
 
 
-def _smallest_eig(C, sigma0, tol, rank_one=None, max_refactor=3):
-    """Smallest eigenvalue of symmetric C (+ optional rho v v^T) by shifted
-    inverse iteration; sigma0 must sit below the spectrum."""
-    n = C.shape[0]
-    x = np.ones(n) / np.sqrt(n)
-    if rank_one is not None:
-        rho, vvec = rank_one
+def _lowest_eig(solve, apply, n, tol):
+    """Smallest eigenpair of the symmetric operator `apply` on R^n, given
+    `solve` = (apply - sigma)^-1 for a shift sigma strictly below its
+    spectrum.
 
-        def apply(y):
-            return C @ y + rho * vvec * (vvec @ y)
+    Lanczos finds the largest eigenvector of `solve`; the eigenvalue is the
+    Rayleigh quotient of `apply`, certified by the residual
+    ||apply x - mu x|| <= tol * max(1, |mu|).  Returns (mu, x, number of
+    solves, residual) with x of unit norm and nonnegative sum.
+    """
+    solves = 0
 
-    else:
+    def matvec(b):
+        nonlocal solves
+        solves += 1
+        return solve(b)
 
-        def apply(y):
-            return C @ y
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        _, vecs = eigsh(op, k=1, which="LA", v0=np.ones(n), tol=0.0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError("shift-invert Lanczos did not converge: %s" % exc)
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    if x.sum() < 0:
+        x = -x
+    ax = apply(x)
+    mu = float(x @ ax)
+    res = float(np.linalg.norm(ax - mu * x))
+    if not res <= tol * max(1.0, abs(mu)):
+        raise ConvergenceError(
+            "shift-invert Lanczos left residual %.3e after %d solves" % (res, solves)
+        )
+    return mu, x, solves, res
 
-    sigma = float(sigma0)
-    iters = 0
-    for attempt in range(max_refactor):
-        try:
-            lu = splu((C - sigma * sparse.identity(C.shape[0], format="csc")).tocsc())
-        except RuntimeError:
-            sigma -= max(1.0, abs(sigma)) * 1e-3
-            try:
-                lu = splu(
-                    (C - sigma * sparse.identity(C.shape[0], format="csc")).tocsc()
-                )
-            except RuntimeError as exc:
-                raise SolverError("shifted factorization broke down: %s" % exc)
-        if rank_one is None:
-            solve = lu.solve
-        else:
-            base = lu.solve
-            bv = base(vvec)
-            denom = 1.0 + rho * (vvec @ bv)
 
-            def solve(b):
-                xb = base(b)
-                return xb - rho * (vvec @ xb) / denom * bv
+def _condensed(sys, c, rank_one=None):
+    """(solve, apply) for C + diag(c) (+ rho v v^T) on interior values, with
+    the shift sigma = min(c); C is SPD, so sigma lies below the spectrum."""
+    h2 = sys.h2
+    sigma = float(c.min())
+    lu = sys.shifted_lu(h2 * (c - sigma))
+    border = np.zeros(sys.n)
 
-        for _ in range(_MAX_ITER):
-            y = solve(x)
-            nrm = np.linalg.norm(y)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                raise SolverError("inverse iteration produced a null vector")
-            x = y / nrm
-            iters += 1
-            rho_q = float(x @ apply(x))
-            res = float(np.linalg.norm(apply(x) - rho_q * x))
-            if res <= tol * max(1.0, abs(rho_q)):
-                return rho_q, x, iters, res
-            if iters % 60 == 0:
-                break  # re-shift closer to the current estimate
-        sigma = rho_q - max(10.0 * res, 1e-8 * max(1.0, abs(rho_q)))
-    raise ConvergenceError(
-        "inverse iteration did not converge (residual %.3e after %d iterations)"
-        % (res, iters)
-    )
+    def solve(b):
+        return h2 * lu.solve(np.concatenate([b, border]))[: sys.n_int]
+
+    def apply(x):
+        y = sys.Ah2 @ x
+        if sys.n:
+            y -= sys.M @ ((sys.M.T @ x) / sys.Dk)
+        return y / h2 + c * x
+
+    if rank_one is None:
+        return solve, apply
+    rho, v = rank_one
+    base, base_apply = solve, apply
+    bv = base(v)
+    denom = 1.0 + rho * (v @ bv)
+
+    def solve(b):  # Sherman-Morrison
+        xb = base(b)
+        return xb - rho * (v @ xb) / denom * bv
+
+    def apply(x):
+        return base_apply(x) + rho * v * (v @ x)
+
+    return solve, apply
 
 
 def _result_from_interior(basis, value, u, iters, res):
@@ -178,9 +189,7 @@ def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
         c_int = np.full(sys.n_int, float(c))
     else:
         c_int = c.values[basis.domain.interior_ids]
-    C = sys.schur_stiffness() + sparse.diags(c_int)
-    sigma0 = float(c_int.min()) - max(1.0, 0.1 * abs(float(c_int.min())))
-    val, u, iters, res = _smallest_eig(C.tocsc(), sigma0, tol)
+    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int), sys.n_int, tol)
     return _result_from_interior(basis, val, u, iters, res)
 
 
@@ -225,22 +234,20 @@ def lambda_big(basis, tol: float = 1e-8) -> SpectralResult:
 
 
 def dirichlet_ground(domain, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of the zero-boundary Laplacian (inverse power)."""
+    """Smallest eigenvalue of the zero-boundary Laplacian Ah2 / h^2, by
+    shift-invert Lanczos (shift 0) on the cached Dirichlet factorization;
+    cached per domain."""
     sys = CondensedSystem.of(domain)
-    h2 = domain.h * domain.h
-    A = (sys.Ah2 / h2).tocsc()
-    lu = splu(A)
-    x = np.ones(sys.n_int)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(_MAX_ITER):
-        y = lu.solve(x)
-        x = y / np.linalg.norm(y)
-        lam = float(x @ (A @ x))
-        res = float(np.linalg.norm(A @ x - lam * x))
-        if res <= tol * max(1.0, lam):
-            return lam
-    raise ConvergenceError("Dirichlet ground-state iteration stalled")
+    key = ("dirichlet_ground", tol)
+    if key not in sys.cache:
+        h2 = sys.h2
+        sys.cache[key] = _lowest_eig(
+            lambda b: h2 * sys.lu_A.solve(b),
+            lambda x: (sys.Ah2 @ x) / h2,
+            sys.n_int,
+            tol,
+        )[0]
+    return sys.cache[key]
 
 
 def check_stability(basis, state, tol_eig: float = 1e-8, tol_margin: float = 1e-6) -> CriterionReport:
@@ -293,11 +300,9 @@ def weak_pos_def(basis, state, tol: float = 1e-8) -> float:
     gp = gp_all[dom.interior_ids]
     h2 = dom.h * dom.h
     gamma = float(gp.sum()) * h2
-    C = (sys.schur_stiffness() - sparse.diags(gp)).tocsc()
-    sigma0 = -float(gp.max(initial=0.0)) - 1.0
-    if gamma <= 1e-12 * dom.area * max(1.0, float(np.abs(gp).max(initial=0.0))):
-        val, _, _, _ = _smallest_eig(C, sigma0, tol)
-        return val
-    rho = h2 * h2 / gamma / h2  # quadratic-form weight over the unit mass
-    val, _, _, _ = _smallest_eig(C, sigma0, tol, rank_one=(rho, gp.astype(float)))
-    return val
+    rank_one = None
+    if gamma > 1e-12 * dom.area * max(1.0, float(np.abs(gp).max(initial=0.0))):
+        rho = h2 * h2 / gamma / h2  # quadratic-form weight over the unit mass
+        rank_one = (rho, gp.astype(float))
+    ops = _condensed(sys, -gp.astype(float), rank_one)
+    return _lowest_eig(*ops, sys.n_int, tol)[0]

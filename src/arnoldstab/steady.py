@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from . import grid as g
 from . import spectra
@@ -105,22 +103,7 @@ def steady_linear(basis, kappa: float, a, tol: float = 1e-10, cert_tol: float = 
             % (kappa, lam_d)
         )
 
-    h2 = dom.h * dom.h
-    A_shift = sys.Ah2 - kappa * h2 * sparse.identity(sys.n_int, format="csc")
-    if sys.n:
-        K = sparse.bmat(
-            [
-                [A_shift, -sparse.csc_matrix(sys.M)],
-                [-sparse.csc_matrix(sys.M.T), sparse.diags(sys.Dk)],
-            ],
-            format="csc",
-        )
-    else:
-        K = A_shift.tocsc()
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SolverError("steady linear solve failed (kappa resonant?): %s" % exc)
+    lu = sys.shifted_lu(-kappa * sys.h2)
     rhs = np.concatenate([np.zeros(sys.n_int), -av])
     z = lu.solve(rhs)
     u = z[: sys.n_int]

@@ -176,6 +176,17 @@ def test_mask_domain_via_cli(tmp_path):
     assert fld.domain.n_components == 2
 
 
+def test_malformed_mask_file_exits_2(tmp_path, capsys):
+    mask = tmp_path / "dom.pgm"
+    mask.write_bytes(b"P5\n24 15\n255\n" + bytes(100))  # 360 pixels declared
+    code = run_cli(
+        "gen", "--domain", "mask", "--mask-file", str(mask), "--res", "8",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_simulate_snapshots(tmp_path):
     out = tmp_path / "snap"
     code = run_cli(

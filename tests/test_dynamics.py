@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,38 @@ def test_stability_experiment_smoke(basis16):
     assert control.noise_rel <= 1e-3
     assert sample.ratio < 3.0
     assert rep.monotone_in_amplitude("swap")
+
+
+def test_stability_experiment_runs_each_control_once(basis16, monkeypatch):
+    """The unperturbed run ignores the mode: one integration per b_offset
+    serves the zero-amplitude row of every mode, in the usual row order."""
+    from arnoldstab import spectra, steady
+
+    lam = spectra.lambda_plain(basis16).value
+    st = steady.steady_linear(basis16, 0.5 * lam, [1.0])
+    cfg = dyn.SimConfig(t_final=0.05, monitor_every=50)
+    delta = 0.01 * grid.lp_norm(st.omega_bar)
+    calls = []
+    real_run = dyn.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "run", counting_run)
+    rep = dyn.stability_experiment(
+        basis16, st, [0.0, delta], cfg, modes=("swap", "bump"), b_offsets=(0.0, 0.01)
+    )
+    assert len(calls) == 6
+    assert [(r.mode, r.b_offset, r.amplitude) for r in rep.rows] == [
+        (m, bo, amp) for m in ("swap", "bump") for bo in (0.0, 0.01) for amp in (0.0, delta)
+    ]
+    for boff in (0.0, 0.01):
+        control = real_run(
+            basis16, st.omega_bar.copy(), st.a + boff, replace(cfg, reference=st.omega_bar)
+        )
+        rows = [r for r in rep.rows if r.amplitude == 0 and r.b_offset == boff]
+        assert [r.sup_dist for r in rows] == [control.sup_dist] * 2
 
 
 def test_experiment_csv(tmp_path, basis16):

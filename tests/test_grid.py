@@ -143,12 +143,30 @@ def test_field_file_geometry_mismatch(tmp_path, annulus16, annulus32):
         grid.read_field(path, domain=annulus32)
 
 
+def test_field_file_truncated(tmp_path, annulus16):
+    path = tmp_path / "field.sfld"
+    grid.write_field(path, annulus16.zeros())
+    data = path.read_bytes()
+    for cut in (20, 40, len(data) - 3):
+        path.write_bytes(data[:cut])
+        with pytest.raises(GridError):
+            grid.read_field(path)
+
+
 def test_mask_rle_roundtrip(tmp_path):
     path = tmp_path / "mask.rle"
     path.write_text("RLE 6 4\n6 1 3 1 1 0 2 1 " + "6 1 " * 2)
     mask = grid.mask_from_rle(path)
     assert mask.shape == (4, 6)
     assert mask.sum() == 6 + 6 + 6 + 6 - 1
+
+
+def test_mask_rle_malformed_tokens(tmp_path):
+    path = tmp_path / "mask.rle"
+    for text in ("RLE 6 x\n24 1", "RLE 6 4\n6 1 3.5 1", "RLE 6 4\n-6 1 30 1", "RLE 6 4\n24 one"):
+        path.write_text(text)
+        with pytest.raises(GridError):
+            grid.mask_from_rle(path)
 
 
 def test_mask_pgm(tmp_path):
@@ -158,6 +176,14 @@ def test_mask_pgm(tmp_path):
     mask = grid.mask_from_pgm(path)
     assert mask.shape == (4, 6)
     assert mask.sum() == 20
+
+
+def test_mask_pgm_malformed(tmp_path):
+    path = tmp_path / "mask.pgm"
+    for data in (b"P5\n6 4\n255\n" + bytes(23), b"P5\n6 four\n255\n" + bytes(24)):
+        path.write_bytes(data)
+        with pytest.raises(GridError):
+            grid.mask_from_pgm(path)
 
 
 def test_label_components_thin_wall_ambiguous():

@@ -100,3 +100,23 @@ def test_steady_state_fixed_point_at_frame_edge(two_hole_basis):
     cfg = dyn.SimConfig(t_final=0.5, reference=st.omega_bar)
     series = dyn.run(b, st.omega_bar.copy(), st.a, cfg)
     assert series.sup_dist <= 1e-9 * grid.lp_norm(st.omega_bar)
+
+
+def test_steady_linear_near_degenerate_dirichlet_pair():
+    """Two holes placed so that the two lowest zero-boundary eigenvalues are
+    close (ratio 0.958), which once stalled the zero-boundary ground-value
+    iteration inside the resonance check of steady_linear."""
+    from scipy.sparse.linalg import eigsh
+
+    mask = np.ones((64, 128), dtype=bool)
+    for y, x in ((8, 35), (37, 76)):
+        mask[y : y + 20, x : x + 20] = False
+    b = harmonic.solve_basis(grid.label_components(mask, h=1.0 / 32))
+    sys = b.system
+    low = np.sort(eigsh(sys.Ah2 / sys.h2, k=2, sigma=0.0, return_eigenvectors=False))
+    assert low[0] / low[1] > 0.95
+    assert abs(spectra.dirichlet_ground(b.domain) / low[0] - 1.0) <= 1e-9
+
+    lam = spectra.lambda_plain(b).value
+    st = steady.steady_linear(b, 0.5 * lam, [0.5, 0.2])
+    assert st.certified
