@@ -114,12 +114,12 @@ _PAD = 2
 
 def _fill_indices(dom):
     """Ghost-fill sources (cached): for every node of the frame padded by
-    _PAD ghosts per side, the grid indices of the nearest non-exterior node
-    (the node itself when it is not exterior)."""
+    _PAD ghosts per side, the node id of the nearest non-exterior node (the
+    node itself when it is not exterior)."""
     if dom._fill_src is None:
         ext = np.pad(dom.kinds == g.EXTERIOR, _PAD, constant_values=True)
         _, (iy, ix) = ndimage.distance_transform_edt(ext, return_indices=True)
-        dom._fill_src = (iy - _PAD, ix - _PAD)
+        dom._fill_src = dom.node_index[iy - _PAD, ix - _PAD]
     return dom._fill_src
 
 
@@ -136,26 +136,7 @@ def _filled_grid(dom, values):
     repeated resampling: unlike linear extrapolation across the wall, it
     copies values and never amplifies the ring's round-off.
     """
-    iy, ix = _fill_indices(dom)
-    return dom.to_grid(values)[iy, ix]
-
-
-def _bilinear(Fgrid, gx, gy):
-    ny, nx = Fgrid.shape
-    i0 = np.clip(np.floor(gx).astype(np.int64), 0, nx - 2)
-    j0 = np.clip(np.floor(gy).astype(np.int64), 0, ny - 2)
-    fx = np.clip(gx - i0, 0.0, 1.0)
-    fy = np.clip(gy - j0, 0.0, 1.0)
-    f00 = Fgrid[j0, i0]
-    f10 = Fgrid[j0, i0 + 1]
-    f01 = Fgrid[j0 + 1, i0]
-    f11 = Fgrid[j0 + 1, i0 + 1]
-    return (
-        f00 * (1 - fx) * (1 - fy)
-        + f10 * fx * (1 - fy)
-        + f01 * (1 - fx) * fy
-        + f11 * fx * fy
-    )
+    return values[_fill_indices(dom)]
 
 
 def _catmull_weights(t):
@@ -263,10 +244,17 @@ def _feet(dom, VX, VY, dt):
     vy0 = VY[dom.node_iy + _PAD, dom.node_ix + _PAD]
     mx = (x - 0.5 * dt * vx0 - x0) / h
     my = (y - 0.5 * dt * vy0 - y0) / h
-    vmx = _bilinear(VX, mx, my)
-    vmy = _bilinear(VY, mx, my)
-    dx = dt * vmx
-    dy = dt * vmy
+    # bilinear midpoint velocity; one cell and one set of weights for both
+    ny, nx = VX.shape
+    i0 = np.clip(np.floor(mx).astype(np.int64), 0, nx - 2)
+    j0 = np.clip(np.floor(my).astype(np.int64), 0, ny - 2)
+    fx = np.clip(mx - i0, 0.0, 1.0)
+    fy = np.clip(my - j0, 0.0, 1.0)
+    corners = j0 * nx + i0
+    corners = (corners, corners + 1, corners + nx, corners + nx + 1)
+    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+    dx = dt * _dot4(weights, [VX.ravel()[c] for c in corners])
+    dy = dt * _dot4(weights, [VY.ravel()[c] for c in corners])
 
     okgrid = np.pad(dom.kinds == g.INTERIOR, _PAD)
     cell_ok = (
@@ -299,10 +287,16 @@ def _project_feet(Pgrid, target, gx, gy, tol):
     psi_I = target of their nodes, psi_I being the `_bicubic` interpolant of
     the filled stream grid.  Newton steps along grad psi_I, each capped at a
     quarter cell, are repeated on every foot whose residual still exceeds
-    `tol`, for at most _PROJECT_MAX_ITER rounds."""
+    `tol`, for at most _PROJECT_MAX_ITER rounds.  The second round is a chord
+    step: it evaluates psi_I alone and reuses the first round's gradient,
+    which the short first steps leave nearly unchanged; later rounds take a
+    fresh gradient."""
     todo = np.arange(gx.size)
-    for _ in range(_PROJECT_MAX_ITER):
-        val, px, py = _bicubic_grad(Pgrid, gx[todo], gy[todo])
+    for it in range(_PROJECT_MAX_ITER):
+        if it == 1:
+            val = _bicubic(Pgrid, gx[todo], gy[todo])
+        else:
+            val, px, py = _bicubic_grad(Pgrid, gx[todo], gy[todo])
         r = val - target[todo]
         bad = np.abs(r) > tol
         todo, r, px, py = todo[bad], r[bad], px[bad], py[bad]

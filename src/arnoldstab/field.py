@@ -20,6 +20,7 @@ Built on it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -156,15 +157,39 @@ class CondensedSystem:
         return (self.M.T @ u_int) / self.Dk
 
 
+def certificate(psi: g.ScalarField, omega: g.ScalarField, av):
+    """A posteriori check of a stream solve: the largest interior residual
+    |-lap psi - omega| and, per inner component k, |flux_k(psi) + a_k|."""
+    dom = psi.domain
+    lap = g.neg_laplacian(psi)
+    ii = dom.interior_ids
+    residual = float(np.abs(lap.values[ii] - omega.values[ii]).max())
+    flux_errors = np.array(
+        [abs(g.boundary_flux(psi, k + 1) + av[k]) for k in range(len(av))]
+    )
+    return residual, flux_errors
+
+
 @dataclass
 class StreamSolution:
-    """Stream function reconstructed from vorticity and circulations."""
+    """Stream function reconstructed from vorticity and circulations.  The
+    certificate (`residual`, `flux_errors`) is computed when first read."""
 
     psi: g.ScalarField
     omega: g.ScalarField
     a: np.ndarray
-    residual: float
-    flux_errors: np.ndarray
+
+    @cached_property
+    def _certificate(self):
+        return certificate(self.psi, self.omega, self.a)
+
+    @property
+    def residual(self) -> float:
+        return self._certificate[0]
+
+    @property
+    def flux_errors(self) -> np.ndarray:
+        return self._certificate[1]
 
 
 @dataclass
@@ -209,99 +234,128 @@ def h_field(basis, a) -> g.ScalarField:
 
 
 def stream_solve(basis, omega: g.ScalarField, a) -> StreamSolution:
-    """Solve for the stream function of (omega, a); certifies residual and flux."""
+    """Solve for the stream function of (omega, a); the residual and flux
+    certificate is left to the first reader of the solution."""
     dom = basis.domain
     av = g.as_circulation(a, dom)
     sys = basis.system
     u, theta = sys.solve_stream(omega.values[dom.interior_ids], av)
-    psi = g.ScalarField(dom, sys.embed(u, theta))
-    lap = g.neg_laplacian(psi)
-    residual = float(
-        np.abs(lap.values[dom.interior_ids] - omega.values[dom.interior_ids]).max()
+    return StreamSolution(g.ScalarField(dom, sys.embed(u, theta)), omega, av)
+
+
+def _parabola_slope(x1, x2, x3):
+    """Weights of the samples at x1, x2, x3 in the derivative at 0 of the
+    parabola through them."""
+    c1 = (-x2 - x3) / ((x1 - x2) * (x1 - x3))
+    c2 = (-x1 - x3) / ((x2 - x1) * (x2 - x3))
+    c3 = (-x1 - x2) / ((x3 - x1) * (x3 - x2))
+    return c1, c2, c3
+
+
+def _derivative_matrix(dom: g.GridDomain, d_plus, d_minus):
+    """Sparse first derivative along the grid line d_minus -> d_plus.
+
+    Every node whose neighbors on both sides exist samples three points: the
+    neighbors sit at the distances -a and +b, which are h for fluid neighbors
+    and the sub-cell leg (h / edge weight) for boundary neighbors, and the
+    row is the derivative of the parabola through the three samples (central
+    differences for unit legs).  A node nearly on the wall (leg < 0.25 on one
+    side) carries no gradient information on that side, so its own value is
+    bypassed: the parabola goes through the wall sample and the next two
+    samples away from it, or, where there are no two such samples (or both
+    legs are short), the row is the secant through the two neighbors.  Nodes
+    with a single neighbor take the one-sided difference, with the span held
+    at h/2 or more.  Rows whose coefficients are not finite are zeroed.
+    """
+    n = dom.n_nodes
+    h = dom.h
+    qp = dom.nbr[:, d_plus]
+    qm = dom.nbr[:, d_minus]
+    has_p = qp >= 0
+    has_m = qm >= 0
+    qp_s = np.clip(qp, 0, None)
+    qm_s = np.clip(qm, 0, None)
+    # sample distances in units of h: 1 for interior neighbors, the sub-cell
+    # leg for boundary neighbors (leg = 1 / edge weight)
+    lp = np.where(has_p, 1.0 / dom.wgt[:, d_plus], 1.0)
+    lm = np.where(has_m, 1.0 / dom.wgt[:, d_minus], 1.0)
+    a = lm * h
+    b = lp * h
+    qpp = dom.nbr[qp_s, d_plus]
+    qmm = dom.nbr[qm_s, d_minus]
+    use_pp = dom.is_interior[qp_s] & (qpp >= 0)
+    use_mm = dom.is_interior[qm_s] & (qmm >= 0)
+    lpp = np.where(use_pp, 1.0 / dom.wgt[qp_s, d_plus], 1.0)
+    lmm = np.where(use_mm, 1.0 / dom.wgt[qm_s, d_minus], 1.0)
+
+    both = has_p & has_m
+    tiny_m = lm < 0.25
+    tiny_p = lp < 0.25
+    use_secant = both & ((tiny_m & ~use_pp) | (tiny_p & ~use_mm) | (tiny_m & tiny_p))
+    use_far_m = both & tiny_p & use_mm & ~use_secant
+    use_far_p = both & tiny_m & use_pp & ~use_secant & ~use_far_m
+
+    def three(r):
+        ar, br = a[r], b[r]
+        den = ar * br * (ar + br)
+        return (qp[r], r, qm[r]), (ar * ar / den, (br * br - ar * ar) / den, -br * br / den)
+
+    def far_p(r):
+        return (qm[r], qp[r], qpp[r]), _parabola_slope(-a[r], b[r], b[r] + lpp[r] * h)
+
+    def far_m(r):
+        return (qp[r], qm[r], qmm[r]), _parabola_slope(b[r], -a[r], -a[r] - lmm[r] * h)
+
+    def secant(r):
+        c = 1.0 / (a[r] + b[r])
+        return (qp[r], qm[r]), (c, -c)
+
+    def only_p(r):
+        c = 1.0 / (np.maximum(lp[r], 0.5) * h)
+        return (qp[r], r), (c, -c)
+
+    def only_m(r):
+        c = 1.0 / (np.maximum(lm[r], 0.5) * h)
+        return (r, qm[r]), (c, -c)
+
+    rows, cols, vals = [], [], []
+    for sel, stencil in (
+        (both & ~use_secant & ~use_far_m & ~use_far_p, three),
+        (use_far_p, far_p),
+        (use_far_m, far_m),
+        (use_secant, secant),
+        (has_p & ~has_m, only_p),
+        (has_m & ~has_p, only_m),
+    ):
+        r = np.flatnonzero(sel)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c, v = stencil(r)
+        v = np.array(v)
+        v[:, ~np.isfinite(v).all(axis=0)] = 0.0
+        rows.append(np.tile(r, len(c)))
+        cols.append(np.concatenate(c))
+        vals.append(v.ravel())
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
     )
-    flux_errors = np.array(
-        [abs(g.boundary_flux(psi, k + 1) + av[k]) for k in range(sys.n)]
-    )
-    return StreamSolution(psi, omega, av, residual, flux_errors)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _gradient(dom: g.GridDomain):
+    """(d/dx, d/dy) as sparse matrices on the node values, built once per
+    domain."""
+    if dom._grad is None:
+        dom._grad = (_derivative_matrix(dom, 0, 1), _derivative_matrix(dom, 2, 3))
+    return dom._grad
 
 
 def velocity(psi: g.ScalarField) -> VelocityField:
-    """Perpendicular gradient of psi.
-
-    Interior nodes use a secant through the two neighboring samples; when a
-    neighbor is a boundary node its value is the wall constant, which lives at
-    the sub-cell crossing recorded in the edge weights, so the span shrinks
-    accordingly (for unit weights this reduces to plain central differences).
-    Boundary nodes fall back to one-sided differences.
-    """
-    dom = psi.domain
-    v = psi.values
-    h = dom.h
-
-    def quad_deriv(x1, f1, x2, f2, x3, f3):
-        # derivative at 0 of the parabola through the three samples
-        c1 = (-x2 - x3) / ((x1 - x2) * (x1 - x3))
-        c2 = (-x1 - x3) / ((x2 - x1) * (x2 - x3))
-        c3 = (-x1 - x2) / ((x3 - x1) * (x3 - x2))
-        return c1 * f1 + c2 * f2 + c3 * f3
-
-    def deriv(d_plus, d_minus):
-        qp = dom.nbr[:, d_plus]
-        qm = dom.nbr[:, d_minus]
-        has_p = qp >= 0
-        has_m = qm >= 0
-        qp_s = np.clip(qp, 0, None)
-        qm_s = np.clip(qm, 0, None)
-        vp = np.where(has_p, v[qp_s], 0.0)
-        vm = np.where(has_m, v[qm_s], 0.0)
-        # sample distance in units of h: 1 for interior neighbors, the
-        # sub-cell leg for boundary neighbors (leg = 1 / edge weight)
-        lp = np.where(has_p, 1.0 / dom.wgt[:, d_plus], 1.0)
-        lm = np.where(has_m, 1.0 / dom.wgt[:, d_minus], 1.0)
-        a = lm * h
-        bb = lp * h
-        dp = vp - v
-        dm = v - vm
-        # three-point nonuniform derivative (difference form), exact for
-        # parabolas with samples at -a and +b around the node
-        with np.errstate(divide="ignore", invalid="ignore"):
-            three = (a * a * dp + bb * bb * dm) / (a * bb * (a + bb))
-            secant = (vp - vm) / (a + bb)
-
-        # a node nearly on the wall carries no gradient information on the
-        # wall side, so its own value must be bypassed: fit the parabola
-        # through the wall sample and the next two samples away from it
-        qpp = dom.nbr[qp_s, d_plus]
-        lpp = 1.0 / dom.wgt[qp_s, d_plus]
-        vpp = np.where(qpp >= 0, v[np.clip(qpp, 0, None)], 0.0)
-        use_pp = dom.is_interior[qp_s] & (qpp >= 0)
-        far_p = quad_deriv(-a, vm, bb, vp, bb + np.where(use_pp, lpp, 1.0) * h, vpp)
-
-        qmm = dom.nbr[qm_s, d_minus]
-        lmm = 1.0 / dom.wgt[qm_s, d_minus]
-        vmm = np.where(qmm >= 0, v[np.clip(qmm, 0, None)], 0.0)
-        use_mm = dom.is_interior[qm_s] & (qmm >= 0)
-        far_m = quad_deriv(bb, vp, -a, vm, -a - np.where(use_mm, lmm, 1.0) * h, vmm)
-
-        tiny_m = lm < 0.25
-        tiny_p = lp < 0.25
-        est = three
-        est = np.where(tiny_m & use_pp, far_p, est)
-        est = np.where(tiny_p & use_mm, far_m, est)
-        est = np.where((tiny_m & ~use_pp) | (tiny_p & ~use_mm) | (tiny_m & tiny_p), secant, est)
-
-        out = np.zeros(dom.n_nodes)
-        both = has_p & has_m
-        out[both] = est[both]
-        only_p = has_p & ~has_m
-        out[only_p] = (vp[only_p] - v[only_p]) / (np.maximum(lp[only_p], 0.5) * h)
-        only_m = has_m & ~has_p
-        out[only_m] = (v[only_m] - vm[only_m]) / (np.maximum(lm[only_m], 0.5) * h)
-        return np.where(np.isfinite(out), out, 0.0)
-
-    dpsi_dx = deriv(0, 1)
-    dpsi_dy = deriv(2, 3)
-    return VelocityField(dom, dpsi_dy, -dpsi_dx)
+    """Perpendicular gradient of psi, by the derivative stencils of
+    `_derivative_matrix` (one sparse product per component)."""
+    dx, dy = _gradient(psi.domain)
+    return VelocityField(psi.domain, dy @ psi.values, -(dx @ psi.values))
 
 
 def divergence(v: VelocityField) -> g.ScalarField:
@@ -327,53 +381,46 @@ def kinetic_energy(v: VelocityField) -> float:
     return 0.5 * g.integrate(sq)
 
 
-def _hole_regions(dom: g.GridDomain):
-    """Per inner component: boolean grid of its hole (exterior pocket +
-    boundary nodes), cached on the domain."""
-    if dom._holes is None:
-        ext = np.pad(dom.kinds == g.EXTERIOR, 1, constant_values=True)
-        lbl, _ = ndimage.label(ext, structure=_FOUR_STRUCT)
-        unbounded = lbl[0, 0]
-        core = lbl[1:-1, 1:-1]
-        holes = []
-        for k in range(1, dom.n_components):
-            bmask = dom.kinds == g.BOUNDARY_BASE + k
-            # hole pocket adjacent to this component
-            ids = set()
-            bys, bxs = np.nonzero(bmask)
-            for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                yy = np.clip(bys + dy, 0, dom.ny - 1)
-                xx = np.clip(bxs + dx, 0, dom.nx - 1)
-                vals = core[yy, xx]
-                ids.update(int(i) for i in np.unique(vals) if i > 0 and i != unbounded)
-            region = bmask.copy()
-            for i in ids:
-                region |= core == i
-            holes.append(region)
-        dom._holes = holes
-    return dom._holes
+def _hole_region(dom: g.GridDomain, k):
+    """Boolean grid of the hole of inner component k: the exterior pockets
+    adjacent to its boundary nodes, plus those nodes."""
+    ext = np.pad(dom.kinds == g.EXTERIOR, 1, constant_values=True)
+    lbl, _ = ndimage.label(ext, structure=_FOUR_STRUCT)
+    unbounded = lbl[0, 0]
+    core = lbl[1:-1, 1:-1]
+    region = dom.kinds == g.BOUNDARY_BASE + k
+    ids = set()
+    bys, bxs = np.nonzero(region)
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        yy = np.clip(bys + dy, 0, dom.ny - 1)
+        xx = np.clip(bxs + dx, 0, dom.nx - 1)
+        vals = core[yy, xx]
+        ids.update(int(i) for i in np.unique(vals) if i > 0 and i != unbounded)
+    pockets = np.isin(core, list(ids))
+    return region | pockets
 
 
-def circulation(v: VelocityField, k: int, omega: g.ScalarField | None = None) -> float:
-    """Line sum of v . dr around inner component k.
+@dataclass(frozen=True)
+class _Contour:
+    """Circulation contour around one inner component, as node ids: the
+    corners of every enclosed cell (SW, SE, NW, NE; -1 for exterior nodes),
+    and the fluid nodes enclosed (`inside`) or on the contour (`fringe`)."""
 
-    The contour is the staircase boundary of the hole region dilated into the
-    fluid far enough that every contour node has a regular central stencil.
-    The cell-by-cell curl sum telescopes, so the result is exactly the
-    trapezoid line integral along that contour, oriented so a flow carrying
-    circulation gamma returns gamma (the orientation matching the flux
-    identity flux_k(psi) = -a_k).
+    corners: tuple
+    inside: np.ndarray
+    fringe: np.ndarray
 
-    If `omega` is given, the vorticity enclosed between the contour and the
-    wall is subtracted, making the value comparable to the wall circulation
-    itself rather than to the contour's.
+
+def _contour(dom: g.GridDomain, k) -> _Contour:
+    """The contour of `circulation` around inner component k, built once per
+    (domain, k).
+
+    It is the staircase boundary of the hole region dilated into the fluid
+    far enough that every contour node has a regular central stencil.
     """
-    dom = v.domain
-    if not 1 <= k < dom.n_components:
-        raise GridError("circulation needs an inner component index, got %r" % (k,))
-    region = _hole_regions(dom)[k - 1]
-    ring1 = ndimage.binary_dilation(region, structure=_FOUR_STRUCT) & ~region
-    nodes = region | ring1
+    if k in dom._contours:
+        return dom._contours[k]
+    nodes = ndimage.binary_dilation(_hole_region(dom, k), structure=_FOUR_STRUCT)
     cells = nodes[:-1, :-1] | nodes[:-1, 1:] | nodes[1:, :-1] | nodes[1:, 1:]
     if not cells.any():
         raise GridError("contour construction failed for component %d" % k)
@@ -384,29 +431,57 @@ def circulation(v: VelocityField, k: int, omega: g.ScalarField | None = None) ->
             corners[oy : dom.ny - 1 + oy, ox : dom.nx - 1 + ox] |= cells
     if (corners & ~nodes & (dom.kinds != g.INTERIOR)).any():
         raise GridError("contour construction failed for component %d" % k)
-
-    VX = dom.to_grid(v.vx)
-    VY = dom.to_grid(v.vy)
-    h = dom.h
-    # counterclockwise circulation around each grid cell, trapezoid per edge
-    gam = 0.5 * h * (
-        (VX[:-1, :-1] + VX[:-1, 1:])  # south edge, +x direction
-        + (VY[:-1, 1:] + VY[1:, 1:])  # east edge, +y
-        - (VX[1:, :-1] + VX[1:, 1:])  # north edge, -x
-        - (VY[:-1, :-1] + VY[1:, :-1])  # west edge, -y
+    # nodes whose every incident cell is enclosed, and the contour nodes
+    padded = np.zeros((dom.ny + 1, dom.nx + 1), dtype=bool)
+    padded[1:-1, 1:-1] = cells
+    inside = padded[:-1, :-1] & padded[:-1, 1:] & padded[1:, :-1] & padded[1:, 1:]
+    fringe = corners & ~inside
+    fluid = dom.kinds == g.INTERIOR
+    cy, cx = np.nonzero(cells)
+    idx = dom.node_index
+    contour = _Contour(
+        corners=(idx[cy, cx], idx[cy, cx + 1], idx[cy + 1, cx], idx[cy + 1, cx + 1]),
+        inside=idx[inside & fluid],
+        fringe=idx[fringe & fluid],
     )
-    total = -float(gam[cells].sum())
+    dom._contours[k] = contour
+    return contour
+
+
+def circulation(v: VelocityField, k: int, omega: g.ScalarField | None = None) -> float:
+    """Line sum of v . dr around inner component k.
+
+    The contour (see `_contour`) is the staircase boundary of the hole region
+    dilated into the fluid.  The cell-by-cell curl sum telescopes, so the
+    result is exactly the trapezoid line integral along that contour,
+    oriented so a flow carrying circulation gamma returns gamma (the
+    orientation matching the flux identity flux_k(psi) = -a_k).
+
+    If `omega` is given, the vorticity enclosed between the contour and the
+    wall is subtracted, making the value comparable to the wall circulation
+    itself rather than to the contour's.
+    """
+    dom = v.domain
+    if not 1 <= k < dom.n_components:
+        raise GridError("circulation needs an inner component index, got %r" % (k,))
+    c = _contour(dom, k)
+    sw, se, nw, ne = c.corners
+    # node values with a trailing 0 that the exterior id -1 picks up
+    VX = np.append(v.vx, 0.0)
+    VY = np.append(v.vy, 0.0)
+    h = dom.h
+    # counterclockwise circulation around each enclosed cell, trapezoid per edge
+    gam = 0.5 * h * (
+        (VX[sw] + VX[se])  # south edge, +x direction
+        + (VY[se] + VY[ne])  # east edge, +y
+        - (VX[nw] + VX[ne])  # north edge, -x
+        - (VY[sw] + VY[nw])  # west edge, -y
+    )
+    total = -float(gam.sum())
     if omega is not None:
         # vorticity mass between the wall and the contour: full weight for
         # nodes whose every incident cell is enclosed, half for contour nodes
-        padded = np.zeros((dom.ny + 1, dom.nx + 1), dtype=bool)
-        padded[1:-1, 1:-1] = cells
-        inside = (
-            padded[:-1, :-1] & padded[:-1, 1:] & padded[1:, :-1] & padded[1:, 1:]
-        )
-        fringe = corners & ~inside
-        fluid = dom.kinds == g.INTERIOR
-        w_in = omega.values[dom.node_index[inside & fluid]].sum()
-        w_fr = omega.values[dom.node_index[fringe & fluid]].sum()
+        w_in = omega.values[c.inside].sum()
+        w_fr = omega.values[c.fringe].sum()
         total += float(w_in + 0.5 * w_fr) * h * h
     return total

@@ -135,7 +135,8 @@ class GridDomain:
 
         # lazily populated caches (object is logically immutable)
         self._system = None
-        self._holes = None
+        self._grad = None
+        self._contours = {}
         self._fill_src = None
 
     # -- construction helpers -------------------------------------------------

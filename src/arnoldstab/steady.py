@@ -16,7 +16,7 @@ import numpy as np
 from . import grid as g
 from . import spectra
 from .errors import ConvergenceError, GridError, SolverError
-from .field import stream_solve
+from .field import certificate, stream_solve
 from .functionals import GFunc
 
 
@@ -53,14 +53,8 @@ class SteadyState:
         return ",".join(cells)
 
 
-def _certify(basis, psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations, cert_tol):
-    dom = basis.domain
-    lap = g.neg_laplacian(psi)
-    ii = dom.interior_ids
-    residual = float(np.abs(lap.values[ii] - omega.values[ii]).max())
-    flux_errors = np.array(
-        [abs(g.boundary_flux(psi, k + 1) + av[k]) for k in range(len(av))]
-    )
+def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations, cert_tol):
+    residual, flux_errors = certificate(psi, omega, av)
     scale = max(1.0, float(np.abs(omega.values).max(initial=0.0)))
     certified = residual <= cert_tol * scale
     return SteadyState(
@@ -110,7 +104,7 @@ def steady_linear(basis, kappa: float, a, tol: float = 1e-10, cert_tol: float = 
     theta = z[sys.n_int :] if sys.n else np.zeros(0)
     psi = g.ScalarField(dom, sys.embed(u, theta))
     omega = g.ScalarField(dom, kappa * psi.values)
-    state = _certify(basis, psi, omega, av, GFunc.linear(kappa), 1, cert_tol)
+    state = _certify(psi, omega, av, GFunc.linear(kappa), 1, cert_tol)
     if not state.certified:
         raise ConvergenceError(
             "steady linear residual %.3e above certification tolerance"
@@ -161,7 +155,7 @@ def steady_picard(
             break
 
     omega = g.ScalarField(dom, np.asarray(gf(psi.values), dtype=float))
-    state = _certify(basis, psi, omega, av, gf, it, cert_tol)
+    state = _certify(psi, omega, av, gf, it, cert_tol)
     if not converged:
         state.certified = False
     return state

@@ -43,6 +43,44 @@ def test_steady_state_near_fixed_point(basis32, stable_state32, short_cfg):
     assert drift <= 1e-9
 
 
+def test_steady_state_fixed_point_off_centre_hole():
+    """A single disc-shaped hole off the centre of a rectangle, with the
+    outer wall inside the frame: no symmetry of the domain helps, and one
+    step still leaves the steady state unchanged up to round-off."""
+    from arnoldstab import harmonic, spectra, steady
+
+    ny, nx = 40, 56
+    yy, xx = np.mgrid[0:ny, 0:nx]
+    mask = np.zeros((ny, nx), dtype=bool)
+    mask[2:-2, 2:-2] = True
+    mask &= (xx - 19.3) ** 2 + (yy - 23.6) ** 2 > 6.5**2
+    dom = grid.label_components(mask, h=1.0 / 16)
+    assert dom.n_components == 2
+    basis = harmonic.solve_basis(dom)
+    st = steady.steady_linear(basis, 0.4 * spectra.lambda_plain(basis).value, [0.5])
+    state = dyn.init_state(basis, st.omega_bar.copy(), st.a)
+    state = dyn.step(state, dyn.SimConfig(t_final=1e9))
+    err = grid.lp_norm(state.omega - st.omega_bar) / grid.lp_norm(st.omega_bar)
+    assert err <= 1e-9
+
+
+def test_step_skips_stream_certificate(basis32, stable_state32, monkeypatch):
+    """The transport step never reads the stream solve's certificate, so it
+    never evaluates a Laplacian."""
+    calls = []
+    lap = grid.neg_laplacian
+
+    def counting(f):
+        calls.append(1)
+        return lap(f)
+
+    monkeypatch.setattr(grid, "neg_laplacian", counting)
+    state = dyn.init_state(basis32, stable_state32.omega_bar.copy(), stable_state32.a)
+    for _ in range(3):
+        state = dyn.step(state, dyn.SimConfig(t_final=1e9))
+    assert calls == []
+
+
 def test_range_preservation_exact(basis32, stable_state32, short_cfg, rng):
     st = stable_state32
     pert = st.omega_bar.values + np.where(

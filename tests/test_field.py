@@ -205,3 +205,244 @@ def test_circulation_component_validation(basis32):
 def test_kinetic_energy_positive(basis32):
     sol = field.stream_solve(basis32, basis32.domain.zeros(), [1.0])
     assert field.kinetic_energy(field.velocity(sol.psi)) > 0.0
+
+
+# -- velocity operator against the difference-form stencils ---------------------
+
+
+def _deriv_oracle(psi, d_plus, d_minus):
+    """Reference derivative along d_minus -> d_plus, in difference form, one
+    node at a time per branch: three-point nonuniform parabola, far-side
+    parabola for legs < 0.25, secant fallback, one-sided at the edges."""
+    dom = psi.domain
+    v = psi.values
+    h = dom.h
+
+    def quad_deriv(x1, f1, x2, f2, x3, f3):
+        c1 = (-x2 - x3) / ((x1 - x2) * (x1 - x3))
+        c2 = (-x1 - x3) / ((x2 - x1) * (x2 - x3))
+        c3 = (-x1 - x2) / ((x3 - x1) * (x3 - x2))
+        return c1 * f1 + c2 * f2 + c3 * f3
+
+    qp = dom.nbr[:, d_plus]
+    qm = dom.nbr[:, d_minus]
+    has_p = qp >= 0
+    has_m = qm >= 0
+    qp_s = np.clip(qp, 0, None)
+    qm_s = np.clip(qm, 0, None)
+    vp = np.where(has_p, v[qp_s], 0.0)
+    vm = np.where(has_m, v[qm_s], 0.0)
+    lp = np.where(has_p, 1.0 / dom.wgt[:, d_plus], 1.0)
+    lm = np.where(has_m, 1.0 / dom.wgt[:, d_minus], 1.0)
+    a = lm * h
+    bb = lp * h
+    dp = vp - v
+    dm = v - vm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        three = (a * a * dp + bb * bb * dm) / (a * bb * (a + bb))
+        secant = (vp - vm) / (a + bb)
+
+    qpp = dom.nbr[qp_s, d_plus]
+    lpp = 1.0 / dom.wgt[qp_s, d_plus]
+    vpp = np.where(qpp >= 0, v[np.clip(qpp, 0, None)], 0.0)
+    use_pp = dom.is_interior[qp_s] & (qpp >= 0)
+    far_p = quad_deriv(-a, vm, bb, vp, bb + np.where(use_pp, lpp, 1.0) * h, vpp)
+
+    qmm = dom.nbr[qm_s, d_minus]
+    lmm = 1.0 / dom.wgt[qm_s, d_minus]
+    vmm = np.where(qmm >= 0, v[np.clip(qmm, 0, None)], 0.0)
+    use_mm = dom.is_interior[qm_s] & (qmm >= 0)
+    far_m = quad_deriv(bb, vp, -a, vm, -a - np.where(use_mm, lmm, 1.0) * h, vmm)
+
+    tiny_m = lm < 0.25
+    tiny_p = lp < 0.25
+    use_far_p = tiny_m & use_pp
+    use_far_m = tiny_p & use_mm
+    use_secant = (tiny_m & ~use_pp) | (tiny_p & ~use_mm) | (tiny_m & tiny_p)
+    est = three
+    est = np.where(use_far_p, far_p, est)
+    est = np.where(use_far_m, far_m, est)
+    est = np.where(use_secant, secant, est)
+
+    out = np.zeros(dom.n_nodes)
+    both = has_p & has_m
+    out[both] = est[both]
+    only_p = has_p & ~has_m
+    out[only_p] = (vp[only_p] - v[only_p]) / (np.maximum(lp[only_p], 0.5) * h)
+    only_m = has_m & ~has_p
+    out[only_m] = (v[only_m] - vm[only_m]) / (np.maximum(lm[only_m], 0.5) * h)
+    branches = {
+        "far_side": both & (use_far_p | use_far_m) & ~use_secant,
+        "secant": both & use_secant,
+        "one_sided": only_p | only_m,
+    }
+    return np.where(np.isfinite(out), out, 0.0), branches
+
+
+def _two_hole_frame_edge():
+    """The two-hole mask whose outer wall lies on the frame edge."""
+    mask = np.ones((40, 64), dtype=bool)
+    mask[14:26, 12:24] = False
+    mask[14:26, 40:52] = False
+    return grid.label_components(mask, h=1.0 / 16)
+
+
+def _short_legs():
+    """Three holes, two of them bars that leave interior channels one node
+    wide along the frame (one per axis), with seeded sub-cell legs down to
+    0.05 on every interior-to-boundary edge, so that the far-side parabola
+    and the secant fallback both occur along both axes."""
+    mask = np.ones((24, 36), dtype=bool)
+    mask[10:18, 10:20] = False
+    mask[3, 4:28] = False
+    mask[6:20, 32] = False
+    base = grid.label_components(mask, h=1.0 / 16)
+    frac = np.random.default_rng(7).uniform(0.05, 1.0, (base.ny, base.nx, 4))
+    return grid.GridDomain(base.kinds, base.h, base.origin, leg_fraction=frac)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: grid.build_annulus(1.0, 2.0, 32), _two_hole_frame_edge, _short_legs],
+    ids=["annulus32", "two_hole_frame_edge", "short_legs"],
+)
+def test_velocity_matches_difference_form(build):
+    dom = build()
+    rng = np.random.default_rng(3)
+    smooth = np.sin(2.0 * dom.node_x) * np.cos(3.0 * dom.node_y) + dom.node_x**2
+    for vals in (smooth, rng.standard_normal(dom.n_nodes)):
+        psi = grid.ScalarField(dom, vals)
+        v = field.velocity(psi)
+        dx, _ = _deriv_oracle(psi, 0, 1)
+        dy, _ = _deriv_oracle(psi, 2, 3)
+        scale = max(np.abs(dx).max(), np.abs(dy).max())
+        assert np.abs(v.vx - dy).max() <= 1e-12 * scale
+        assert np.abs(v.vy + dx).max() <= 1e-12 * scale
+
+
+def test_short_legs_domain_exercises_every_branch():
+    dom = _short_legs()
+    psi = dom.zeros()
+    for axis in ((0, 1), (2, 3)):
+        _, branches = _deriv_oracle(psi, *axis)
+        for name, sel in branches.items():
+            assert sel.any(), name
+
+
+def test_velocity_operator_built_once_per_domain(monkeypatch):
+    calls = []
+    build = field._derivative_matrix
+
+    def counting(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(field, "_derivative_matrix", counting)
+    dom = grid.build_annulus(1.0, 2.0, 16)
+    psi = dom.field_from_function(lambda x, y: x * y)
+    first = field.velocity(psi)
+    second = field.velocity(psi)
+    assert calls == [(0, 1), (2, 3)]
+    assert np.array_equal(first.vx, second.vx) and np.array_equal(first.vy, second.vy)
+    other = grid.build_annulus(1.0, 2.0, 16)
+    field.velocity(other.zeros())
+    assert len(calls) == 4
+
+
+def _circulation_oracle(v, k, omega=None):
+    """Reference contour sum on full grids, with the hole region and the
+    contour masks rebuilt on every call."""
+    from scipy import ndimage
+
+    dom = v.domain
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    ext = np.pad(dom.kinds == grid.EXTERIOR, 1, constant_values=True)
+    lbl, _ = ndimage.label(ext, structure=four)
+    core = lbl[1:-1, 1:-1]
+    region = dom.kinds == grid.BOUNDARY_BASE + k
+    bys, bxs = np.nonzero(region)
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        yy = np.clip(bys + dy, 0, dom.ny - 1)
+        xx = np.clip(bxs + dx, 0, dom.nx - 1)
+        for i in np.unique(core[yy, xx]):
+            if i > 0 and i != lbl[0, 0]:
+                region = region | (core == i)
+    nodes = region | ndimage.binary_dilation(region, structure=four)
+    cells = nodes[:-1, :-1] | nodes[:-1, 1:] | nodes[1:, :-1] | nodes[1:, 1:]
+    corners = np.zeros((dom.ny, dom.nx), dtype=bool)
+    for oy in (0, 1):
+        for ox in (0, 1):
+            corners[oy : dom.ny - 1 + oy, ox : dom.nx - 1 + ox] |= cells
+    VX = dom.to_grid(v.vx)
+    VY = dom.to_grid(v.vy)
+    h = dom.h
+    gam = 0.5 * h * (
+        (VX[:-1, :-1] + VX[:-1, 1:])
+        + (VY[:-1, 1:] + VY[1:, 1:])
+        - (VX[1:, :-1] + VX[1:, 1:])
+        - (VY[:-1, :-1] + VY[1:, :-1])
+    )
+    total = -float(gam[cells].sum())
+    if omega is not None:
+        padded = np.zeros((dom.ny + 1, dom.nx + 1), dtype=bool)
+        padded[1:-1, 1:-1] = cells
+        inside = padded[:-1, :-1] & padded[:-1, 1:] & padded[1:, :-1] & padded[1:, 1:]
+        fringe = corners & ~inside
+        fluid = dom.kinds == grid.INTERIOR
+        w_in = omega.values[dom.node_index[inside & fluid]].sum()
+        w_fr = omega.values[dom.node_index[fringe & fluid]].sum()
+        total += float(w_in + 0.5 * w_fr) * h * h
+    return total
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: grid.build_annulus(1.0, 2.0, 32), _two_hole_frame_edge],
+    ids=["annulus32", "two_hole_frame_edge"],
+)
+def test_circulation_matches_full_grid_sum(build):
+    """The cached contour gives bit-identical sums, and is built once per
+    (domain, component)."""
+    dom = build()
+    rng = np.random.default_rng(5)
+    for k in range(1, dom.n_components):
+        for _ in range(3):
+            v = field.VelocityField(
+                dom, rng.standard_normal(dom.n_nodes), rng.standard_normal(dom.n_nodes)
+            )
+            omega = dom.field(rng.standard_normal(dom.n_nodes))
+            assert field.circulation(v, k) == _circulation_oracle(v, k)
+            assert field.circulation(v, k, omega) == _circulation_oracle(v, k, omega)
+        contour = dom._contours[k]
+        field.circulation(v, k)
+        assert dom._contours[k] is contour
+
+
+# -- lazy certificate ------------------------------------------------------------
+
+
+def test_stream_certificate_matches_steady_certify(basis32, stable_state32):
+    from arnoldstab import steady
+
+    st = stable_state32
+    sol = field.stream_solve(basis32, st.omega_bar, st.a)
+    ref = steady._certify(sol.psi, sol.omega, sol.a, st.g, 1, 1e-8)
+    assert sol.residual == ref.residual_pde
+    assert np.array_equal(sol.flux_errors, ref.flux_errors)
+
+
+def test_stream_certificate_is_lazy(basis32, monkeypatch):
+    calls = []
+    lap = grid.neg_laplacian
+
+    def counting(f):
+        calls.append(1)
+        return lap(f)
+
+    monkeypatch.setattr(grid, "neg_laplacian", counting)
+    sol = field.stream_solve(basis32, basis32.domain.constant(1.0), [0.5])
+    assert calls == []
+    residual = sol.residual
+    assert sol.flux_errors.max() <= 1e-9
+    assert sol.residual == residual
+    assert len(calls) == 1
