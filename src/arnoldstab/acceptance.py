@@ -278,9 +278,11 @@ def criterion_6(ctx):
     S, T = np.meshgrid(ss, tt)
     young_min = float((lp.Ghat(S) + lp.G(T) - S * T).min())
 
-    ec0 = functionals.energy_casimir(basis, st.omega_bar, st.a, lp)
-    d0 = functionals.supporting_d(basis, st.omega_bar, st.a, gf)
-    dh0, mu0 = functionals.supporting_d_hat(basis, st.omega_bar, st.a, gf, st.mass)
+    # one record per sample: one stream solve serves every functional
+    rec0 = functionals._Sample(basis, st.omega_bar, st.a)
+    ec0 = rec0.energy_casimir(lp)
+    d0 = rec0.d(gf)
+    dh0, mu0 = rec0.d_hat(gf, st.mass)
     scale = max(1.0, abs(ec0))
 
     chain_viol = 0
@@ -289,10 +291,11 @@ def criterion_6(ctx):
     n_samples = 30 if ctx.quick else 100
     for t in range(n_samples):
         smp = rearrange.random_swaps(st.omega_bar, 1 + (5 * t) % 48, rng_seed + t)
-        ec = functionals.energy_casimir(basis, smp.w, st.a, lp)
-        dval = functionals.supporting_d(basis, smp.w, st.a, gf)
-        dhat, _ = functionals.supporting_d_hat(basis, smp.w, st.a, gf, st.mass)
-        ds = functionals.supporting_d_s(basis, smp.w, st.a, gf, 0.37, st.mass)
+        rec = functionals._Sample(basis, smp.w, st.a)
+        ec = rec.energy_casimir(lp)
+        dval = rec.d(gf)
+        dhat, _ = rec.d_hat(gf, st.mass)
+        ds = rec.d_s(gf, 0.37, st.mass)
         gap = max(ec - dhat, dhat - dval, dhat - ds)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6 * scale:

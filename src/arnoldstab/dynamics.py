@@ -112,15 +112,28 @@ class DiagnosticsSeries:
 _PAD = 2
 
 
-def _fill_indices(dom):
-    """Ghost-fill sources (cached): for every node of the frame padded by
-    _PAD ghosts per side, the node id of the nearest non-exterior node (the
-    node itself when it is not exterior)."""
-    if dom._fill_src is None:
+@dataclass(frozen=True)
+class _StepGrids:
+    """Index grids of the transport step that depend only on the domain, on
+    the frame padded by _PAD ghosts per side."""
+
+    fill_src: np.ndarray  # nearest non-exterior node id (the node's own id)
+    node_ids: np.ndarray  # node id, -1 on exterior and padding ghosts
+    cell_ok: np.ndarray  # cells (by top-left node) with an interior corner
+
+
+def _step_grids(dom) -> _StepGrids:
+    """The domain's `_StepGrids`, built on first use and cached on it."""
+    if dom._step_grids is None:
         ext = np.pad(dom.kinds == g.EXTERIOR, _PAD, constant_values=True)
         _, (iy, ix) = ndimage.distance_transform_edt(ext, return_indices=True)
-        dom._fill_src = dom.node_index[iy - _PAD, ix - _PAD]
-    return dom._fill_src
+        inter = np.pad(dom.kinds == g.INTERIOR, _PAD)
+        dom._step_grids = _StepGrids(
+            fill_src=dom.node_index[iy - _PAD, ix - _PAD],
+            node_ids=np.pad(dom.node_index, _PAD, constant_values=-1),
+            cell_ok=inter[:-1, :-1] | inter[:-1, 1:] | inter[1:, :-1] | inter[1:, 1:],
+        )
+    return dom._step_grids
 
 
 def _filled_grid(dom, values):
@@ -136,7 +149,7 @@ def _filled_grid(dom, values):
     repeated resampling: unlike linear extrapolation across the wall, it
     copies values and never amplifies the ring's round-off.
     """
-    return values[_fill_indices(dom)]
+    return values[_step_grids(dom).fill_src]
 
 
 def _catmull_weights(t):
@@ -214,12 +227,14 @@ def _window_reduce(F, op):
     return out.ravel()
 
 
-def _data_range(Fdata, data_ok, gx, gy):
-    """Range of the real field data within the 4x4 stencil of each point
-    (inf, -inf where the stencil holds none)."""
-    base, _, _ = _cell(Fdata.shape, gx, gy)
-    lo = _window_reduce(np.where(data_ok, Fdata, np.inf), np.minimum)
-    hi = _window_reduce(np.where(data_ok, Fdata, -np.inf), np.maximum)
+def _data_range(dom, values, gx, gy):
+    """Range of the node values within the 4x4 stencil of each point on the
+    padded grid (inf, -inf where the stencil holds no node)."""
+    ids = _step_grids(dom).node_ids
+    base, _, _ = _cell(ids.shape, gx, gy)
+    # node id -1 picks the appended sentinel
+    lo = _window_reduce(np.append(values, np.inf)[ids], np.minimum)
+    hi = _window_reduce(np.append(values, -np.inf)[ids], np.maximum)
     return lo[base], hi[base]
 
 
@@ -256,10 +271,7 @@ def _feet(dom, VX, VY, dt):
     dx = dt * _dot4(weights, [VX.ravel()[c] for c in corners])
     dy = dt * _dot4(weights, [VY.ravel()[c] for c in corners])
 
-    okgrid = np.pad(dom.kinds == g.INTERIOR, _PAD)
-    cell_ok = (
-        okgrid[:-1, :-1] | okgrid[:-1, 1:] | okgrid[1:, :-1] | okgrid[1:, 1:]
-    )
+    cell_ok = _step_grids(dom).cell_ok
     ncy, ncx = cell_ok.shape
     # only feet still outside a valid cell are re-checked; a few wall-ring
     # feet never settle and use up all 30 halvings
@@ -334,9 +346,7 @@ def _advect_semi_lagrangian(state: SimState, dt: float) -> np.ndarray:
     _project_feet(_filled_grid(dom, psi), psi, *fwd, tol)
     w0 = state.omega.values
     raw = _bicubic(_filled_grid(dom, w0), *fwd)
-    Wdata = np.pad(dom.to_grid(w0, fill=0.0), _PAD)
-    data_ok = np.pad(dom.kinds != g.EXTERIOR, _PAD)
-    lo, hi = _data_range(Wdata, data_ok, *fwd)
+    lo, hi = _data_range(dom, w0, *fwd)
     return np.clip(raw, lo, hi)
 
 

@@ -384,20 +384,10 @@ def kinetic_energy(v: VelocityField) -> float:
 def _hole_region(dom: g.GridDomain, k):
     """Boolean grid of the hole of inner component k: the exterior pockets
     adjacent to its boundary nodes, plus those nodes."""
-    ext = np.pad(dom.kinds == g.EXTERIOR, 1, constant_values=True)
-    lbl, _ = ndimage.label(ext, structure=_FOUR_STRUCT)
-    unbounded = lbl[0, 0]
-    core = lbl[1:-1, 1:-1]
+    nbrs, regions, unbounded = g.exterior_regions(dom.kinds == g.EXTERIOR)
     region = dom.kinds == g.BOUNDARY_BASE + k
-    ids = set()
-    bys, bxs = np.nonzero(region)
-    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        yy = np.clip(bys + dy, 0, dom.ny - 1)
-        xx = np.clip(bxs + dx, 0, dom.nx - 1)
-        vals = core[yy, xx]
-        ids.update(int(i) for i in np.unique(vals) if i > 0 and i != unbounded)
-    pockets = np.isin(core, list(ids))
-    return region | pockets
+    pockets = set(np.unique(nbrs[:, region]).tolist()) - {0, unbounded}
+    return region | np.isin(regions, list(pockets))
 
 
 @dataclass(frozen=True)

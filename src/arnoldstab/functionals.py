@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -350,17 +351,64 @@ def legendre(gf: GFunc) -> LegendrePair:
 # -- flow functionals ------------------------------------------------------------
 
 
+class _Sample:
+    """One vorticity sample w with circulations a, and the terms that every
+    flow functional of it reads: one circulation-free solve Pw, the harmonic
+    field h_a, psi_w = Pw + h_a, int w Pw and (1/2) a.q a.
+
+    The public functionals below each build one and read one value from it;
+    a probe builds one per sample and reads them all, so it pays for one
+    stream solve per sample."""
+
+    def __init__(self, basis, w: g.ScalarField, a):
+        dom = basis.domain
+        av = g.as_circulation(a, dom)
+        self.domain = dom
+        self.w = w
+        self.Pw = p_apply(basis, w)
+        self.ha = h_field(basis, av)
+        self.psi_w = self.Pw.values + self.ha.values
+        self.w_pw = g.integrate(g.ScalarField(dom, w.values * self.Pw.values))
+        self.half_aqa = 0.5 * float(av @ (basis.q @ av))
+
+    @cached_property
+    def energy(self) -> float:
+        term1 = 0.5 * self.w_pw
+        term2 = g.integrate(g.ScalarField(self.domain, self.ha.values * self.w.values))
+        return term1 + term2 + self.half_aqa
+
+    def energy_casimir(self, lp: LegendrePair) -> float:
+        return self.energy - casimir(self.domain, self.w, lp)
+
+    def _d_core(self, gf: GFunc, psi) -> float:
+        """-(1/2) int w Pw + int G(psi)."""
+        quad = -0.5 * self.w_pw
+        return quad + g.integrate(g.ScalarField(self.domain, gf.antideriv(psi)))
+
+    def d(self, gf: GFunc) -> float:
+        return self._d_core(gf, self.psi_w) + self.half_aqa
+
+    def d_s(self, gf: GFunc, s: float, m: float) -> float:
+        core = self._d_core(gf, self.psi_w - float(s))
+        return core + float(s) * float(m) + self.half_aqa
+
+    def d_hat(self, gf: GFunc, m: float):
+        if not gf.has_linear_tails:
+            raise GridError("profile must be extended before evaluating the infimum")
+        mu = solve_mu(self.domain, self.psi_w[self.domain.interior_ids], gf, m)
+        core = self._d_core(gf, self.psi_w - mu)
+        return core + mu * float(m) + self.half_aqa, mu
+
+    def mu_residual(self, gf: GFunc, mu: float, m: float) -> float:
+        """|int g(psi_w - mu) - m|, the residual of the shift equation."""
+        h2 = self.domain.h * self.domain.h
+        return abs(float(np.sum(gf(self.psi_w[self.domain.interior_ids] - mu))) * h2 - m)
+
+
 def energy(basis, omega: g.ScalarField, a) -> float:
     """Kinetic energy from vorticity and circulations:
     (1/2) int w Pw + int h_a w + (1/2) a.q a."""
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    Pw = p_apply(basis, omega)
-    ha = h_field(basis, av)
-    term1 = 0.5 * g.integrate(g.ScalarField(dom, omega.values * Pw.values))
-    term2 = g.integrate(g.ScalarField(dom, ha.values * omega.values))
-    term3 = 0.5 * float(av @ (basis.q @ av))
-    return term1 + term2 + term3
+    return _Sample(basis, omega, a).energy
 
 
 def casimir(domain, w: g.ScalarField, lp: LegendrePair) -> float:
@@ -370,31 +418,17 @@ def casimir(domain, w: g.ScalarField, lp: LegendrePair) -> float:
 
 def energy_casimir(basis, w: g.ScalarField, a, lp: LegendrePair) -> float:
     """EC(w) = E(w, a) - int Ghat(w)."""
-    return energy(basis, w, a) - casimir(basis.domain, w, lp)
+    return _Sample(basis, w, a).energy_casimir(lp)
 
 
 def supporting_d(basis, w: g.ScalarField, a, gf: GFunc) -> float:
     """D(w) = -(1/2) int w Pw + int G(Pw + h_a) + (1/2) a.q a."""
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    Pw = p_apply(basis, w)
-    ha = h_field(basis, av)
-    quad = -0.5 * g.integrate(g.ScalarField(dom, w.values * Pw.values))
-    comp = g.integrate(g.ScalarField(dom, gf.antideriv(Pw.values + ha.values)))
-    return quad + comp + 0.5 * float(av @ (basis.q @ av))
+    return _Sample(basis, w, a).d(gf)
 
 
 def supporting_d_s(basis, w: g.ScalarField, a, gf: GFunc, s: float, m: float) -> float:
     """Shifted supporting functional D_s(w) with mass parameter m."""
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    Pw = p_apply(basis, w)
-    ha = h_field(basis, av)
-    quad = -0.5 * g.integrate(g.ScalarField(dom, w.values * Pw.values))
-    comp = g.integrate(
-        g.ScalarField(dom, gf.antideriv(Pw.values + ha.values - float(s)))
-    )
-    return quad + comp + float(s) * float(m) + 0.5 * float(av @ (basis.q @ av))
+    return _Sample(basis, w, a).d_s(gf, s, m)
 
 
 def solve_mu(domain, psi_w_interior, gf: GFunc, m: float, s_cap: float = 2.0**20):
@@ -435,18 +469,7 @@ def solve_mu(domain, psi_w_interior, gf: GFunc, m: float, s_cap: float = 2.0**20
 
 def supporting_d_hat(basis, w: g.ScalarField, a, gf: GFunc, m: float):
     """Infimum of D_s over the shift; returns (value, mu)."""
-    if not gf.has_linear_tails:
-        raise GridError("profile must be extended before evaluating the infimum")
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    Pw = p_apply(basis, w)
-    ha = h_field(basis, av)
-    psi_w = Pw.values + ha.values
-    mu = solve_mu(dom, psi_w[dom.interior_ids], gf, m)
-    quad = -0.5 * g.integrate(g.ScalarField(dom, w.values * Pw.values))
-    comp = g.integrate(g.ScalarField(dom, gf.antideriv(psi_w - mu)))
-    value = quad + comp + mu * float(m) + 0.5 * float(av @ (basis.q @ av))
-    return value, mu
+    return _Sample(basis, w, a).d_hat(gf, m)
 
 
 def stream_energy_casimir(psi_pert: g.ScalarField, lp: LegendrePair, state) -> float:

@@ -137,7 +137,7 @@ class GridDomain:
         self._system = None
         self._grad = None
         self._contours = {}
-        self._fill_src = None
+        self._step_grids = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -160,33 +160,10 @@ class GridDomain:
             _, nb = ndimage.label(bk, structure=_EIGHT)
             if nb != 1:
                 raise GridError("boundary component %d is not 8-connected" % k)
-        # exterior region analysis on a padded grid: the frame-connected
-        # component is the unbounded exterior, the rest are holes
-        ext = np.pad(kinds == EXTERIOR, 1, constant_values=True)
-        ext_lbl, _ = ndimage.label(ext, structure=_FOUR)
-        unbounded = ext_lbl[0, 0]
-        core = ext_lbl[1:-1, 1:-1]
+        # the exterior region each boundary component touches
+        nbrs, _, unbounded = exterior_regions(kinds == EXTERIOR)
         for k in range(self.n_components):
-            bk = kinds == BOUNDARY_BASE + k
-            touched = set()
-            for dx, dy in _DIRS:
-                sh = np.full(kinds.shape, 0, dtype=core.dtype)
-                ny, nx = kinds.shape
-                ys = slice(max(0, -dy), ny - max(0, dy))
-                xs = slice(max(0, -dx), nx - max(0, dx))
-                yd = slice(max(0, dy), ny - max(0, -dy))
-                xd = slice(max(0, dx), nx - max(0, -dx))
-                sh[ys, xs] = core[yd, xd]
-                # off-grid neighbors belong to the unbounded exterior
-                if dy > 0:
-                    sh[-1, :] = unbounded
-                if dy < 0:
-                    sh[0, :] = unbounded
-                if dx > 0:
-                    sh[:, -1] = unbounded
-                if dx < 0:
-                    sh[:, 0] = unbounded
-                touched.update(np.unique(sh[bk]))
+            touched = set(np.unique(nbrs[:, kinds == BOUNDARY_BASE + k]).tolist())
             touched.discard(0)
             if len(touched) > 1:
                 raise GridError(
@@ -375,6 +352,46 @@ def as_circulation(a, domain):
 # -- discrete calculus ---------------------------------------------------------
 
 
+# values per pass of `_exact_sum`: at most 2^26 integers of magnitude at most
+# 2^27 (times a power of two) sum exactly, in any order, in float64
+_SUM_CHUNK = 1 << 26
+# adding and subtracting it rounds an integer below 2^53 to a multiple of 2^26
+_SPLIT = 1.5 * 2.0**78
+
+
+def _exact_sum(values) -> float:
+    """Exactly rounded sum of float64 values, equal to math.fsum bit for bit.
+
+    np.frexp turns each value into an integer M below 2^53 and an exponent e,
+    x = M * 2^(e-53).  M is split into a multiple of 2^26 with at most 27
+    significant bits and a remainder below 2^25, and each part is summed per
+    exponent with np.bincount.  Those sums are exact, so the few nonzero
+    exponent bins are added as Python integers over the common denominator
+    2^1126 and rounded once by integer true division.  The result does not
+    depend on the order of the values.  Non-finite values give their IEEE
+    sum; finite values whose exact sum lies beyond the float range raise
+    OverflowError, as math.fsum does.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    bad = ~np.isfinite(x)
+    if bad.any():
+        return float(x[bad].sum())
+    num = 0
+    for start in range(0, x.size, _SUM_CHUNK):
+        mant, expo = np.frexp(x[start : start + _SUM_CHUNK])
+        mant *= 2.0**53
+        hi = (mant + _SPLIT) - _SPLIT
+        lo = mant - hi
+        # bin k = e + 1073 >= 0 (the smallest subnormal has e = -1073)
+        expo += 1073
+        hi_sums = np.bincount(expo, weights=hi)
+        lo_sums = np.bincount(expo, weights=lo)
+        ks = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+        for k, a, b in zip(ks.tolist(), hi_sums[ks].tolist(), lo_sums[ks].tolist()):
+            num += (int(a) + int(b)) << k
+    return num / (1 << 1126)
+
+
 def integrate(f: ScalarField) -> float:
     """Quadrature sum over interior nodes, h^2 per node.
 
@@ -383,7 +400,7 @@ def integrate(f: ScalarField) -> float:
     pointwise functions of it bitwise unchanged).
     """
     dom = f.domain
-    return math.fsum(f.values[dom.interior_ids]) * dom.h * dom.h
+    return _exact_sum(f.values[dom.interior_ids]) * dom.h * dom.h
 
 
 def lp_norm(f: ScalarField, p: float = 2.0) -> float:
@@ -391,7 +408,7 @@ def lp_norm(f: ScalarField, p: float = 2.0) -> float:
     v = np.abs(f.values[dom.interior_ids])
     if math.isinf(p):
         return float(v.max(initial=0.0))
-    return float((math.fsum(v**p) * dom.h * dom.h) ** (1.0 / p))
+    return float((_exact_sum(v**p) * dom.h * dom.h) ** (1.0 / p))
 
 
 def linf(f: ScalarField) -> float:
@@ -431,6 +448,23 @@ def boundary_flux(u: ScalarField, k: int) -> float:
         raise GridError("component index %r out of range" % (k,))
     p, q, w = dom._flux_tables[k]
     return float(np.dot(w, u.values[q] - u.values[p]))
+
+
+def exterior_regions(ext):
+    """4-connected regions of the non-fluid nodes of a grid.
+
+    ext is a boolean (ny, nx) grid, True off the fluid.  It is padded with
+    one ring of non-fluid nodes before the flood fill, so every region that
+    reaches the frame merges into one, the unbounded exterior; the others
+    are holes.  Returns the region labels of the four neighbors (E, W, N, S)
+    of every node as a (4, ny, nx) array, 0 for a fluid neighbor and the
+    unbounded label for one off the grid; the labels of the nodes
+    themselves; and the unbounded label.
+    """
+    ny, nx = ext.shape
+    lbl, _ = ndimage.label(np.pad(ext, 1, constant_values=True), structure=_FOUR)
+    nbrs = np.stack([lbl[1 + dy : ny + 1 + dy, 1 + dx : nx + 1 + dx] for dx, dy in _DIRS])
+    return nbrs, lbl[1:-1, 1:-1], int(lbl[0, 0])
 
 
 # -- constructors ----------------------------------------------------------------
@@ -534,10 +568,6 @@ def label_components(mask, h: float = 1.0, origin=(0.0, 0.0)) -> GridDomain:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise GridError("mask must be 2D")
-    ext = np.pad(~mask, 1, constant_values=True)
-    ext_lbl, _ = ndimage.label(ext, structure=_FOUR)
-    unbounded = ext_lbl[0, 0]
-    core = ext_lbl[1:-1, 1:-1]
 
     # fluid node with a non-fluid 4-neighbor (or off-grid) -> boundary
     padm = np.pad(mask, 1, constant_values=False)
@@ -553,20 +583,13 @@ def label_components(mask, h: float = 1.0, origin=(0.0, 0.0)) -> GridDomain:
         raise GridError("interior disconnected (%d components)" % n_comp)
 
     # map each boundary node to the exterior region it touches
-    pe = np.pad(core, 1)
-    pe[0, :] = unbounded
-    pe[-1, :] = unbounded
-    pe[:, 0] = unbounded
-    pe[:, -1] = unbounded
-    stacks = np.stack(
-        [pe[1:-1, :-2], pe[1:-1, 2:], pe[:-2, 1:-1], pe[2:, 1:-1]], axis=0
-    )
+    nbrs, _, unbounded = exterior_regions(~mask)
     kinds = np.full(mask.shape, EXTERIOR, dtype=np.uint8)
     kinds[inter] = INTERIOR
 
     hole_ids = []
     bys, bxs = np.nonzero(bnd)
-    regions = stacks[:, bys, bxs]
+    regions = nbrs[:, bys, bxs]
     labels = np.zeros(len(bys), dtype=int)
     for i in range(len(bys)):
         regs = set(regions[:, i][regions[:, i] > 0])

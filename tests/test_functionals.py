@@ -273,3 +273,62 @@ def test_stream_energy_casimir_sandwich(basis32, rng):
         upper = 0.5 * grad2 - 0.5 * fp_min * lap2
         slack = 1e-6 * max(1.0, abs(hv - h0))
         assert lower - slack <= hv - h0 <= upper + slack
+
+
+# -- the per-sample record against the direct formulas ---------------------------
+
+
+def _direct(basis, w, a):
+    """Pw, h_a and (1/2) a.q a, each computed on its own."""
+    av = grid.as_circulation(a, basis.domain)
+    half_aqa = 0.5 * float(av @ (basis.q @ av))
+    return field.p_apply(basis, w), field.h_field(basis, av), half_aqa
+
+
+def _energy_direct(basis, w, a):
+    dom = basis.domain
+    Pw, ha, half_aqa = _direct(basis, w, a)
+    term1 = 0.5 * grid.integrate(grid.ScalarField(dom, w.values * Pw.values))
+    term2 = grid.integrate(grid.ScalarField(dom, ha.values * w.values))
+    return term1 + term2 + half_aqa
+
+
+def _d_s_direct(basis, w, a, gf, s, m):
+    dom = basis.domain
+    Pw, ha, half_aqa = _direct(basis, w, a)
+    quad = -0.5 * grid.integrate(grid.ScalarField(dom, w.values * Pw.values))
+    comp = grid.integrate(grid.ScalarField(dom, gf.antideriv(Pw.values + ha.values - s)))
+    return quad + comp + s * m + half_aqa
+
+
+def _d_hat_direct(basis, w, a, gf, m):
+    dom = basis.domain
+    Pw, ha, half_aqa = _direct(basis, w, a)
+    psi_w = Pw.values + ha.values
+    mu = fn.solve_mu(dom, psi_w[dom.interior_ids], gf, m)
+    quad = -0.5 * grid.integrate(grid.ScalarField(dom, w.values * Pw.values))
+    comp = grid.integrate(grid.ScalarField(dom, gf.antideriv(psi_w - mu)))
+    return quad + comp + mu * m + half_aqa, mu
+
+
+def test_functionals_equal_direct_formulas_exactly(basis32, stable_state32):
+    """Every public functional reads the shared record with the same
+    floating-point operations, in the same order, as its direct formula."""
+    from arnoldstab import rearrange
+
+    st = stable_state32
+    lp = fn.legendre(st.g)
+    dom = basis32.domain
+    ws = [st.omega_bar] + [rearrange.random_swaps(st.omega_bar, k, k).w for k in (3, 30, 300)]
+    for w in ws:
+        for a in (st.a, st.a + 0.3):
+            e = _energy_direct(basis32, w, a)
+            assert fn.energy(basis32, w, a) == e
+            assert fn.energy_casimir(basis32, w, a, lp) == e - fn.casimir(dom, w, lp)
+            d = _d_s_direct(basis32, w, a, st.g, 0.0, 0.0)
+            assert fn.supporting_d(basis32, w, a, st.g) == d
+            for s in (0.37, -1.5, 2.25):
+                ds = _d_s_direct(basis32, w, a, st.g, s, st.mass)
+                assert fn.supporting_d_s(basis32, w, a, st.g, s, st.mass) == ds
+            dhat = _d_hat_direct(basis32, w, a, st.g, st.mass)
+            assert fn.supporting_d_hat(basis32, w, a, st.g, st.mass) == dhat

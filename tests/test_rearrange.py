@@ -3,7 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from arnoldstab import functionals as fn, grid, harmonic, rearrange as ra, spectra, steady
+from arnoldstab import acceptance, field, functionals as fn, grid, harmonic
+from arnoldstab import rearrange as ra, spectra, steady
 from arnoldstab.errors import GridError
 
 
@@ -165,3 +166,120 @@ def test_probe_report_csv(tmp_path, basis32, stable_state32):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == list(rep.columns)
     assert len(lines) == 1 + rep.n_samples
+
+
+# -- one stream solve per probe sample ----------------------------------------------
+#
+# The oracles below are the probes as they were written before the per-sample
+# record: every functional is a separate public call with its own solve.
+
+
+def _local_max_rows_oracle(basis, state, radius, n_samples, seed):
+    e0 = fn.energy(basis, state.omega_bar, state.a)
+    tol = 1e-8 * max(1.0, abs(e0))
+    rows = []
+    for t in range(n_samples):
+        smp = ra.swaps_within_radius(state.omega_bar, radius, seed + t)
+        e = fn.energy(basis, smp.w, state.a)
+        de = e - e0
+        bad = de > tol and smp.distance_lp > 0
+        rows.append((seed + t, smp.swap_count, smp.distance_lp, e, de, bad))
+    return rows
+
+
+def _supporting_rows_oracle(basis, state, gf, n_samples, seed, lp, rel_tol=1e-6):
+    dom = basis.domain
+    wbar = state.omega_bar
+    h2 = dom.h * dom.h
+    scale = max(1.0, abs(fn.energy_casimir(basis, wbar, state.a, lp)))
+    ha = field.h_field(basis, state.a)
+    rows = []
+    for t in range(n_samples + 1):
+        if t == 0:
+            smp = ra.RearrangementSample(wbar, 0.0, 0, seed)
+        else:
+            smp = ra.random_swaps(wbar, 1 + (7 * t) % 64, seed + t)
+        e = fn.energy(basis, smp.w, state.a)
+        ec = fn.energy_casimir(basis, smp.w, state.a, lp)
+        dval = fn.supporting_d(basis, smp.w, state.a, gf)
+        dhat, mu = fn.supporting_d_hat(basis, smp.w, state.a, gf, state.mass)
+        psi_w = field.p_apply(basis, smp.w).values + ha.values
+        mu_res = abs(float(np.sum(gf(psi_w[dom.interior_ids] - mu))) * h2 - state.mass)
+        bad = (ec > dhat + rel_tol * scale) or (dhat > dval + rel_tol * scale)
+        if t == 0:
+            bad = bad or abs(ec - dval) > rel_tol * scale or abs(mu) > rel_tol
+        rows.append(
+            (smp.seed, smp.swap_count, smp.distance_lp, e, ec, dhat, dval, mu, mu_res, bad)
+        )
+    return rows, scale
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    inner = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def _extended(st):
+    gext = fn.extend_g(st.g, st.psi_min, st.psi_max)
+    return gext, fn.legendre(gext)
+
+
+@pytest.mark.parametrize("seed", [11, 404])
+def test_probe_rows_equal_one_call_per_functional(basis32, stable_state32, seed):
+    st = stable_state32
+    gext, lp = _extended(st)
+    radius = 0.1 * grid.lp_norm(st.omega_bar)
+    loc = ra.local_max_probe(basis32, st, radius, 6, seed)
+    assert loc.rows == _local_max_rows_oracle(basis32, st, radius, 6, seed)
+    sup = ra.supporting_probe(basis32, st, gext, 6, seed, lp)
+    rows, scale = _supporting_rows_oracle(basis32, st, gext, 6, seed, lp)
+    assert sup.rows == rows
+    assert sup.tol == 1e-6 * scale
+
+
+def test_probes_solve_once_per_sample(monkeypatch, basis32, stable_state32):
+    st = stable_state32
+    gext, lp = _extended(st)
+    p_calls = _count_calls(monkeypatch, fn, "p_apply")
+    solves = _count_calls(monkeypatch, field.CondensedSystem, "solve_stream")
+    n = 5
+    rep = ra.supporting_probe(basis32, st, gext, n, 3, lp)
+    # the steady vorticity (t = 0, which also sets the scale) and n samples
+    assert rep.n_samples == n + 1
+    assert len(p_calls) == n + 1
+    assert len(solves) == n + 1
+    p_calls.clear()
+    solves.clear()
+    ra.local_max_probe(basis32, st, 0.1 * grid.lp_norm(st.omega_bar), n, 3)
+    assert len(p_calls) == n + 1
+    assert len(solves) == n + 1
+
+
+def test_criterion_6_values_equal_one_call_per_functional(tmp_path):
+    ctx = acceptance.AcceptanceContext(out_dir=str(tmp_path), quick=True, seed=20240801)
+    res = acceptance.criterion_6(ctx)
+    basis, st = ctx.basis(32), ctx.stable_state(32)
+    gf, lp = st.g, fn.legendre(st.g)
+    ec0 = fn.energy_casimir(basis, st.omega_bar, st.a, lp)
+    d0 = fn.supporting_d(basis, st.omega_bar, st.a, gf)
+    dh0, mu0 = fn.supporting_d_hat(basis, st.omega_bar, st.a, gf, st.mass)
+    scale = max(1.0, abs(ec0))
+    worst = -np.inf
+    for t in range(30):
+        smp = ra.random_swaps(st.omega_bar, 1 + (5 * t) % 48, ctx.seed + t)
+        ec = fn.energy_casimir(basis, smp.w, st.a, lp)
+        dval = fn.supporting_d(basis, smp.w, st.a, gf)
+        dhat, _ = fn.supporting_d_hat(basis, smp.w, st.a, gf, st.mass)
+        ds = fn.supporting_d_s(basis, smp.w, st.a, gf, 0.37, st.mass)
+        worst = max(worst, ec - dhat, dhat - dval, dhat - ds)
+    assert res.passed
+    assert res.details["worst_gap"] == worst
+    assert res.details["eq_at_state"] == max(abs(d0 - ec0), abs(dh0 - ec0)) / scale
+    assert res.details["mu_at_state"] == abs(mu0)
