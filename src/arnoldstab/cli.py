@@ -32,7 +32,7 @@ from .svgplot import render_line_plot
 _CONFIG_KEYS = {
     "domain", "rin", "rout", "res", "mask_file", "g", "kappa", "a", "b_offset",
     "seed", "tol", "out", "omega", "omega_const", "functional", "s", "m",
-    "radius_frac", "samples", "turnovers", "t_final", "cfl", "scheme",
+    "radius_frac", "samples", "turnovers", "t_final", "cfl",
     "perturb", "amplitude", "cadence", "snap_every", "quick", "criteria",
     "bins", "n",
 }
@@ -365,7 +365,6 @@ def _cmd_simulate(args):
     cfg = dynamics.SimConfig(
         t_final=t_final,
         cfl=args.cfl,
-        scheme=args.scheme,
         monitor_every=args.cadence,
         reference=st.omega_bar,
         legendre=functionals.legendre(gext),
@@ -490,7 +489,6 @@ def build_parser():
     sp.add_argument("--turnovers", type=float, default=None)
     sp.add_argument("--t-final", dest="t_final", type=float, default=None)
     sp.add_argument("--cfl", type=float, default=0.5)
-    sp.add_argument("--scheme", default="semi_lagrangian", choices=["semi_lagrangian", "upwind2"])
     sp.add_argument("--perturb", default=None, help="swap:AMP | bump:AMP | none:0")
     sp.add_argument("--cadence", type=int, default=8)
     sp.add_argument("--snap-every", dest="snap_every", type=int, default=0)

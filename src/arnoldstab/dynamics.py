@@ -2,7 +2,7 @@
 
 Each step advects the vorticity along the velocity reconstructed from the
 current vorticity and the (held-fixed) circulation vector, then re-solves the
-stream function.  The default scheme is semi-Lagrangian: backtrace by a
+stream function.  The scheme is semi-Lagrangian: backtrace by a
 midpoint step, project each departure point onto the stream-function level
 set of its node, interpolate with a clamped bicubic kernel (range-preserving),
 re-solve.  Circulations are a closure parameter re-imposed by every solve, so
@@ -53,7 +53,6 @@ class SimConfig:
     t_final: float
     dt: float | None = None
     cfl: float = 0.5
-    scheme: str = "semi_lagrangian"  # or 'upwind2'
     monitor_every: int = 8
     p: float = 2.0
     hist_bins: int | None = None
@@ -66,8 +65,6 @@ class SimConfig:
             raise GridError("dt must be positive")
         if not 0.0 < self.cfl <= 0.9:
             raise GridError("CFL target must lie in (0, 0.9]")
-        if self.scheme not in ("semi_lagrangian", "upwind2"):
-            raise GridError("unknown advection scheme %r" % self.scheme)
         if self.t_final <= 0:
             raise GridError("t_final must be positive")
 
@@ -271,24 +268,38 @@ def _feet(dom, VX, VY, dt):
     dx = dt * _dot4(weights, [VX.ravel()[c] for c in corners])
     dy = dt * _dot4(weights, [VY.ravel()[c] for c in corners])
 
+    _contract(dom, dx, dy)
+    return (x - dx - x0) / h, (y - dy - y0) / h
+
+
+def _contract(dom, dx, dy):
+    """Contract in place the displacements whose feet (node_x - dx,
+    node_y - dy) lie outside every cell touching the interior: each takes the
+    first of d * 2^-k, k = 0..29, that lands in such a cell, else d * 2^-30.
+    All 30 candidates are tested at once, since a few wall-ring feet never
+    settle; powers of two keep the result that of 30 successive halvings."""
+    h = dom.h
+    x0 = dom.origin[0] - _PAD * h
+    y0 = dom.origin[1] - _PAD * h
     cell_ok = _step_grids(dom).cell_ok
     ncy, ncx = cell_ok.shape
-    # only feet still outside a valid cell are re-checked; a few wall-ring
-    # feet never settle and use up all 30 halvings
-    todo = np.arange(x.size)
-    for _ in range(30):
-        gx = (x[todo] - dx[todo] - x0) / h
-        gy = (y[todo] - dy[todo] - y0) / h
+
+    def outside(xs, ys, ex, ey):
+        gx = (xs - ex - x0) / h
+        gy = (ys - ey - y0) / h
         ci = np.clip(np.floor(gx).astype(np.int64), 0, ncx - 1)
         cj = np.clip(np.floor(gy).astype(np.int64), 0, ncy - 1)
         bad = ~cell_ok[cj, ci]
         bad |= (gx < 0) | (gx > ncx) | (gy < 0) | (gy > ncy)
-        todo = todo[bad]
-        if todo.size == 0:
-            break
-        dx[todo] *= 0.5
-        dy[todo] *= 0.5
-    return (x - dx - x0) / h, (y - dy - y0) / h
+        return bad
+
+    todo = np.flatnonzero(outside(dom.node_x, dom.node_y, dx, dy))
+    if todo.size:
+        scale = np.ldexp(1.0, -np.arange(30))[:, None]
+        bad = outside(dom.node_x[todo], dom.node_y[todo], dx[todo] * scale, dy[todo] * scale)
+        k = np.where(bad.all(axis=0), 30, bad.argmin(axis=0))
+        dx[todo] = np.ldexp(dx[todo], -k)
+        dy[todo] = np.ldexp(dy[todo], -k)
 
 
 _PROJECT_MAX_ITER = 20
@@ -350,33 +361,6 @@ def _advect_semi_lagrangian(state: SimState, dt: float) -> np.ndarray:
     return np.clip(raw, lo, hi)
 
 
-def _advect_upwind2(state: SimState, dt: float) -> np.ndarray:
-    """Second-order upwind gradient transport with a midpoint time step."""
-    dom = state.basis.domain
-    h = dom.h
-    W0 = _filled_grid(dom, state.omega.values)[_PAD:-_PAD, _PAD:-_PAD]
-    VX = dom.to_grid(state.vel.vx)
-    VY = dom.to_grid(state.vel.vy)
-
-    def tendency(W):
-        def one_sided(F, axis, sign):
-            # sign +1: upwind uses nodes at -1, -2 along axis
-            f1 = np.roll(F, sign, axis=axis)
-            f2 = np.roll(F, 2 * sign, axis=axis)
-            return sign * (3 * F - 4 * f1 + f2) / (2 * h)
-
-        dwdx = np.where(VX > 0, one_sided(W, 1, 1), one_sided(W, 1, -1))
-        dwdy = np.where(VY > 0, one_sided(W, 0, 1), one_sided(W, 0, -1))
-        return -(VX * dwdx + VY * dwdy)
-
-    half = W0 + 0.5 * dt * tendency(W0)
-    W1 = W0 + dt * tendency(half)
-    out = state.omega.values.copy()
-    ii = dom.interior_ids
-    out[ii] = W1[dom.node_iy[ii], dom.node_ix[ii]]
-    return out
-
-
 def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimState:
     """Advance one transport step; dt honors the CFL target and dt_cap."""
     dom = state.basis.domain
@@ -392,10 +376,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
     if not math.isfinite(dt) or dt <= 0:
         raise DynamicsError("cannot pick a positive time step (velocity zero and no dt)")
 
-    if cfg.scheme == "semi_lagrangian":
-        new_vals = _advect_semi_lagrangian(state, dt)
-    else:
-        new_vals = _advect_upwind2(state, dt)
+    new_vals = _advect_semi_lagrangian(state, dt)
     if not np.all(np.isfinite(new_vals)):
         raise DynamicsError(
             "NaN in vorticity at t=%g (step %d)" % (state.t + dt, state.step_index + 1)

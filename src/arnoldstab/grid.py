@@ -97,8 +97,11 @@ class GridDomain:
         self.node_index[nonext] = np.arange(self.n_nodes)
         self.node_iy, self.node_ix = np.nonzero(nonext)
         self.node_kind = kinds[nonext]
-        self.node_x = self.origin[0] + self.node_ix * self.h
-        self.node_y = self.origin[1] + self.node_iy * self.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.node_x = self.origin[0] + self.node_ix * self.h
+            self.node_y = self.origin[1] + self.node_iy * self.h
+        if not (np.isfinite(self.node_x).all() and np.isfinite(self.node_y).all()):
+            raise GridError("origin and node coordinates must be finite")
 
         # neighbor table (node id or -1) in E, W, N, S order
         nbr = np.full((self.n_nodes, 4), -1, dtype=np.int64)
@@ -651,8 +654,11 @@ def read_field(path, domain: GridDomain | None = None) -> ScalarField:
         )
     values = np.frombuffer(data, dtype="<f8", count=n_nodes, offset=off).copy()
     if domain is not None:
-        if (domain.nx, domain.ny) != (nx, ny) or domain.h != h or not np.array_equal(
-            domain.kinds, kinds
+        if (
+            (domain.nx, domain.ny) != (nx, ny)
+            or domain.h != h
+            or domain.origin != (x0, y0)
+            or not np.array_equal(domain.kinds, kinds)
         ):
             raise GridError("field file geometry does not match the given domain")
         return ScalarField(domain, values)

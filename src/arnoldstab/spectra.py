@@ -9,9 +9,10 @@ the bordered matrix K of `field.CondensedSystem`.  The smallest eigenvalue of
 C + diag(c), optionally plus a rank-one term, comes from shift-invert Lanczos
 (ARPACK `eigsh`, fixed start vector) with the shift sigma = min(c); each step
 is one solve with K + diag(h^2 (c - sigma), 0), which for constant c is the
-cached factorization of K.  The largest eigenvalue of the circulation-free
-inverse comes from power iteration on the same solve, so lambda * Lambda = 1
-compares two independent methods.
+cached factorization of K, so one Lanczos run per system serves every
+constant c.  The largest eigenvalue of the circulation-free inverse comes
+from power iteration on the same solve, so lambda * Lambda = 1 compares two
+independent methods.
 """
 
 from __future__ import annotations
@@ -99,15 +100,14 @@ class CriterionReport:
         return ",".join(vals)
 
 
-def _lowest_eig(solve, apply, n, tol):
-    """Smallest eigenpair of the symmetric operator `apply` on R^n, given
-    `solve` = (apply - sigma)^-1 for a shift sigma strictly below its
-    spectrum.
+def _lanczos(solve, n):
+    """Unit eigenvector, with nonnegative sum, of the largest eigenvalue of
+    the symmetric positive operator `solve` on R^n, and the number of solves.
 
-    Lanczos finds the largest eigenvector of `solve`; the eigenvalue is the
-    Rayleigh quotient of `apply`, certified by the residual
-    ||apply x - mu x|| <= tol * max(1, |mu|).  Returns (mu, x, number of
-    solves, residual) with x of unit norm and nonnegative sum.
+    ARPACK `eigsh` from the start vector of ones, to working precision
+    (tol = 0), with 6 Lanczos vectors: the shift-inverted spectrum is well
+    separated, so a larger Krylov space only adds solves before the first
+    convergence test.
     """
     solves = 0
 
@@ -118,12 +118,18 @@ def _lowest_eig(solve, apply, n, tol):
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        _, vecs = eigsh(op, k=1, which="LA", v0=np.ones(n), tol=0.0)
+        _, vecs = eigsh(op, k=1, which="LA", v0=np.ones(n), ncv=min(n, 6), tol=0.0)
     except ArpackNoConvergence as exc:
         raise ConvergenceError("shift-invert Lanczos did not converge: %s" % exc)
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if x.sum() < 0:
         x = -x
+    return x, solves
+
+
+def _certified(apply, x, solves, tol):
+    """(mu, x, solves, residual): the Rayleigh quotient mu of `apply` at the
+    unit vector x, certified by ||apply x - mu x|| <= tol * max(1, |mu|)."""
     ax = apply(x)
     mu = float(x @ ax)
     res = float(np.linalg.norm(ax - mu * x))
@@ -132,6 +138,19 @@ def _lowest_eig(solve, apply, n, tol):
             "shift-invert Lanczos left residual %.3e after %d solves" % (res, solves)
         )
     return mu, x, solves, res
+
+
+def _lowest_eig(solve, apply, n, tol):
+    """Smallest eigenpair of the symmetric operator `apply` on R^n, given
+    `solve` = (apply - sigma)^-1 for a shift sigma strictly below its
+    spectrum.
+
+    Lanczos finds the largest eigenvector of `solve`; the eigenvalue is the
+    Rayleigh quotient of `apply`, certified by its residual.  Returns
+    (mu, x, number of solves, residual) with x of unit norm and nonnegative
+    sum.
+    """
+    return _certified(apply, *_lanczos(solve, n), tol)
 
 
 def _condensed(sys, c, rank_one=None):
@@ -189,7 +208,15 @@ def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
         c_int = np.full(sys.n_int, float(c))
     else:
         c_int = c.values[basis.domain.interior_ids]
-    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int), sys.n_int, tol)
+    solve, apply = _condensed(sys, c_int)
+    if np.ptp(c_int) == 0:
+        # sigma = c, so the shift vanishes and the Lanczos run is that of K
+        # itself: one run per system serves every constant c
+        if "lanczos_K" not in sys.cache:
+            sys.cache["lanczos_K"] = _lanczos(solve, sys.n_int)
+        val, u, iters, res = _certified(apply, *sys.cache["lanczos_K"], tol)
+    else:
+        val, u, iters, res = _lowest_eig(solve, apply, sys.n_int, tol)
     return _result_from_interior(basis, val, u, iters, res)
 
 

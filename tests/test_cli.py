@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 
 import pytest
 
@@ -185,6 +187,17 @@ def test_malformed_mask_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_field_file_non_finite_origin_exits_2(tmp_path, capsys):
+    path = tmp_path / "omega.sfld"
+    grid.write_field(path, grid.build_annulus(1.0, 2.0, 16).zeros())
+    data = bytearray(path.read_bytes())
+    data[20:28] = struct.pack("<d", math.inf)  # x0, after magic, nx, ny and h
+    path.write_bytes(bytes(data))
+    code = run_cli("stream", *BASE, "--omega", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_simulate_snapshots(tmp_path):

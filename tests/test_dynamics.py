@@ -16,8 +16,6 @@ def test_config_validation():
         dyn.SimConfig(t_final=1.0, cfl=1.2)
     with pytest.raises(GridError):
         dyn.SimConfig(t_final=-1.0)
-    with pytest.raises(GridError):
-        dyn.SimConfig(t_final=1.0, scheme="spectral")
 
 
 def test_zero_vorticity_stays_zero(basis32, short_cfg):
@@ -105,12 +103,39 @@ def test_step_respects_cfl(basis32, stable_state32):
     assert new.t <= 0.4 * basis32.domain.h / vmax + 1e-12
 
 
-def test_upwind_scheme_runs(basis32, stable_state32):
-    cfg = dyn.SimConfig(t_final=1e9, scheme="upwind2")
-    state = dyn.init_state(basis32, stable_state32.omega_bar.copy(), stable_state32.a)
-    for _ in range(5):
-        state = dyn.step(state, cfg)
-    assert np.all(np.isfinite(state.omega.values))
+def _contract_by_halving(dom, dx, dy):
+    """Reference for `dyn._contract`: halve each displacement whose foot lies
+    outside every cell touching the interior, up to 30 times."""
+    h = dom.h
+    x0 = dom.origin[0] - dyn._PAD * h
+    y0 = dom.origin[1] - dyn._PAD * h
+    cell_ok = dyn._step_grids(dom).cell_ok
+    ncy, ncx = cell_ok.shape
+    todo = np.arange(dom.n_nodes)
+    for _ in range(30):
+        gx = (dom.node_x[todo] - dx[todo] - x0) / h
+        gy = (dom.node_y[todo] - dy[todo] - y0) / h
+        ci = np.clip(np.floor(gx).astype(np.int64), 0, ncx - 1)
+        cj = np.clip(np.floor(gy).astype(np.int64), 0, ncy - 1)
+        bad = ~cell_ok[cj, ci]
+        bad |= (gx < 0) | (gx > ncx) | (gy < 0) | (gy > ncy)
+        todo = todo[bad]
+        if todo.size == 0:
+            break
+        dx[todo] *= 0.5
+        dy[todo] *= 0.5
+
+
+def test_contraction_matches_halving_loop(annulus16, rng):
+    dom = annulus16
+    dx, dy = rng.standard_normal((2, dom.n_nodes)) * 3.0 * dom.h
+    want = dx.copy(), dy.copy()
+    _contract_by_halving(dom, *want)
+    got = dx.copy(), dy.copy()
+    dyn._contract(dom, *got)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    k = np.round(np.log2(np.abs(dx / got[0]))).astype(int)
+    assert (k == 0).any() and ((k > 0) & (k < 30)).any() and (k == 30).any()
 
 
 def test_perturb_none(stable_state32):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -141,6 +142,30 @@ def test_field_file_geometry_mismatch(tmp_path, annulus16, annulus32):
     grid.write_field(path, annulus16.zeros())
     with pytest.raises(GridError):
         grid.read_field(path, domain=annulus32)
+
+
+@pytest.mark.parametrize(
+    "h, origin",
+    [(0.5, (math.nan, 0.0)), (0.5, (0.0, -math.inf)), (1e307, (1e308, 0.0))],
+)
+def test_non_finite_origin_rejected(annulus16, h, origin):
+    """A non-finite origin, or a finite one whose node coordinates overflow."""
+    with pytest.raises(GridError, match="finite"):
+        grid.GridDomain(annulus16.kinds, h, origin=origin)
+
+
+def test_field_file_non_finite_origin(tmp_path, annulus16):
+    """A stored NaN origin is rejected, whether the file rebuilds its domain
+    or is attached to a given one."""
+    path = tmp_path / "field.sfld"
+    grid.write_field(path, annulus16.zeros())
+    data = bytearray(path.read_bytes())
+    data[20:28] = struct.pack("<d", math.nan)  # x0, after magic, nx, ny and h
+    path.write_bytes(bytes(data))
+    with pytest.raises(GridError):
+        grid.read_field(path)
+    with pytest.raises(GridError):
+        grid.read_field(path, domain=annulus16)
 
 
 def test_field_file_truncated(tmp_path, annulus16):

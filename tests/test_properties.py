@@ -1,7 +1,8 @@
 """Property-based checks at the input boundaries and of the exact sum.
 
 * `grid._exact_sum` equals math.fsum bit for bit on finite float64 arrays;
-* a field file written by `write_field` reads back exactly;
+* a field file written by `write_field` reads back exactly, and a domain
+  whose node coordinates overflow is rejected with GridError;
 * arbitrary bytes given to the file parsers raise nothing but GridError;
 * a random mask either is rejected with GridError or labels into a domain
   whose summation-by-parts identity and flux tables hold;
@@ -15,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -89,12 +91,21 @@ _KINDS = (
 @_SETTINGS
 @given(
     st.sampled_from(_KINDS),
-    st.floats(min_value=1e-300, max_value=1e300),
-    moderate,
-    moderate,
+    st.floats(min_value=1e-300, max_value=1e307),
+    finite,
+    finite,
     st.data(),
 )
 def test_field_file_roundtrip_exact(kinds, h, x0, y0, data):
+    """Origins anywhere in the finite range: a domain whose node coordinates
+    overflow is rejected, every other one round-trips."""
+    iy, ix = np.nonzero(kinds)
+    with np.errstate(over="ignore"):
+        far = (x0 + ix.max() * h, y0 + iy.max() * h)
+    if not np.isfinite(far).all():
+        with pytest.raises(GridError, match="finite"):
+            grid.GridDomain(kinds, h, origin=(x0, y0))
+        return
     dom = grid.GridDomain(kinds, h, origin=(x0, y0))
     values = data.draw(hnp.arrays(np.float64, dom.n_nodes, elements=finite))
     with tempfile.TemporaryDirectory() as tmp:

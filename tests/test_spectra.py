@@ -127,6 +127,48 @@ def test_criterion_report_csv(basis32, stable_state32):
     assert abs(lamL) <= 1e-8
 
 
+def test_constant_potential_matches_fresh_lanczos(basis32):
+    """lambda_c with a constant c reuses the Lanczos vector of the unshifted
+    operator; the oracle is a fresh run on the same system, which it must
+    equal exactly."""
+    sys = basis32.system
+    c, tol = 0.7, 1e-8
+    spectra.lambda_plain(basis32, tol)
+    res = spectra.lambda_c(basis32, c, tol)
+    c_int = np.full(sys.n_int, c)
+    mu, x, solves, r = spectra._lowest_eig(*spectra._condensed(sys, c_int), sys.n_int, tol)
+    assert (res.value, res.iterations, res.residual) == (mu, solves, r)
+    fresh = spectra._result_from_interior(basis32, mu, x, solves, r)
+    assert np.array_equal(res.minimizer.values, fresh.minimizer.values)
+
+
+def test_verdict_lanczos_runs_per_domain(monkeypatch):
+    """A verdict on a linear profile makes 4 Lanczos runs per domain: the
+    plain eigenvalue, the Dirichlet ground value and one weak form per
+    check; mu of each check reuses the plain run."""
+    from arnoldstab import harmonic
+
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return eigsh(*args, **kwargs)
+
+    eigsh = spectra.eigsh
+    monkeypatch.setattr(spectra, "eigsh", counting)
+    mask = np.ones((40, 64), dtype=bool)
+    mask[14:26, 12:24] = False
+    mask[14:26, 40:52] = False
+    two_holes = grid.label_components(mask, h=1.0 / 16)
+    for dom, a in ((grid.build_annulus(1.0, 2.0, 16), [1.0]), (two_holes, [0.5, 0.2])):
+        runs.clear()
+        basis = harmonic.solve_basis(dom)
+        lam = spectra.lambda_plain(basis).value
+        for kappa in (0.5 * lam, 1.5 * lam):
+            spectra.check_stability(basis, steady.steady_linear(basis, kappa, a))
+        assert len(runs) == 4
+
+
 def test_eigensolvers_match_dense_reference():
     """The shift-invert Lanczos solves on the bordered system agree with dense
     eigenvalues of the condensed stiffness C = (Ah2 - M D^-1 M^T) / h^2,
