@@ -24,7 +24,6 @@ from .field import (  # noqa: F401
     StreamSolution,
     VelocityField,
     circulation,
-    green_solve,
     h_field,
     kinetic_energy,
     p_apply,

@@ -298,7 +298,7 @@ def _cmd_steady(args):
     gf = _parse_g(args)
     a = _parse_a(args.a)
     if gf.kind == "linear":
-        st = steady.steady_linear(basis, gf.slope, a, tol=args.tol)
+        st = steady.steady_linear(basis, gf.slope, a)
     else:
         st = steady.steady_picard(basis, gf, a, tol=args.tol)
     grid.write_field(os.path.join(out, "psi_bar.sfld"), st.psi_bar)

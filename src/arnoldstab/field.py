@@ -4,11 +4,14 @@ The central object is the condensed linear system: unknowns are the interior
 node values together with one constant per inner boundary component, and the
 constant rows impose a prescribed flux through that component.  The block
 matrix is exactly the discrete Dirichlet form on this space, hence symmetric
-positive definite; it is assembled and factorized once per domain.
+positive definite; it is assembled and factorized once per domain, and that
+factorization is the only one a domain keeps.  The harmonic basis, the
+stream solves and the eigenproblems with a constant potential reuse it; a
+steady solve or a nonconstant potential factorizes a copy with a diagonal
+shift (`CondensedSystem.shifted_lu`).
 
 Built on it:
 
-* ``green_solve``   -- inverse Laplacian with zero data on every boundary node,
 * ``p_apply``       -- the circulation-free inverse (zero flux through every
                        inner component); its inverse is -lap by construction,
 * ``h_field``       -- the harmonic field carrying prescribed circulations,
@@ -101,7 +104,6 @@ class CondensedSystem:
             K = self.Ah2
         self.K = K
         self._lu_K = _factor(K, "condensed system")
-        self._lu_A = None
         self.cache = {}  # per-domain spectral data, keyed by its producer
 
     @classmethod
@@ -112,12 +114,6 @@ class CondensedSystem:
 
     # -- raw solves ------------------------------------------------------------
 
-    @property
-    def lu_A(self):
-        if self._lu_A is None:
-            self._lu_A = _factor(self.Ah2, "Dirichlet system")
-        return self._lu_A
-
     def shifted_lu(self, d_int):
         """Factorization of K + diag(d_int, 0): the bordered matrix with a
         diagonal shift on the interior rows only.  A zero shift returns the
@@ -127,10 +123,6 @@ class CondensedSystem:
             return self._lu_K
         shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
         return _factor(self.K + shift, "shifted condensed system")
-
-    def solve_green(self, phi_int):
-        """u with -lap u = phi and u = 0 on every boundary node."""
-        return self.lu_A.solve(self.h2 * phi_int)
 
     def solve_stream(self, omega_int, a):
         """(u_int, theta) with -lap u = omega and flux_k(u) = -a_k."""
@@ -203,12 +195,6 @@ class VelocityField:
     def speed(self) -> g.ScalarField:
         return g.ScalarField(self.domain, np.hypot(self.vx, self.vy))
 
-
-def green_solve(domain: g.GridDomain, phi: g.ScalarField) -> g.ScalarField:
-    """Inverse Laplacian with zero Dirichlet data on all boundary nodes."""
-    sys = CondensedSystem.of(domain)
-    u = sys.solve_green(phi.values[domain.interior_ids])
-    return g.ScalarField(domain, sys.embed(u))
 
 def p_apply(basis, phi: g.ScalarField) -> g.ScalarField:
     """Apply the circulation-free inverse Laplacian.

@@ -159,13 +159,6 @@ class GFunc:
             return self.slope > 0.0
         return self.kind == "extended"
 
-    def tail_slopes(self):
-        if self.kind in ("linear", "affine"):
-            return self.slope, self.slope
-        if self.kind == "extended":
-            return self.params["c_lo"], self.params["c_hi"]
-        raise GridError("profile has no linear tails; extend it first")
-
     def median_slope(self) -> float:
         if self.kind in ("linear", "affine"):
             return self.slope

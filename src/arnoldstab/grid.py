@@ -251,10 +251,6 @@ class GridDomain:
         out[self.node_iy, self.node_ix] = values
         return out
 
-    def from_grid(self, arr):
-        """Gather per-node values from a full (ny, nx) grid."""
-        return np.ascontiguousarray(arr[self.node_iy, self.node_ix], dtype=float)
-
     def field(self, values):
         return ScalarField(self, values)
 

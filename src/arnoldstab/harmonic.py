@@ -35,6 +35,12 @@ class HarmonicBasis:
 def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
     """Solve the N harmonic boundary problems and assemble p and q.
 
+    All N come from the factorization of the condensed system: the bordered
+    solve with zero vorticity and unit flux through inner component k is
+    harmonic, with interior values U[:, k] and boundary constants T[:, k].
+    The fields are then recombined so that each takes the value 1 on its
+    own component and 0 on the others: zeta = U T^-1.
+
     Each zeta_i is certified by its interior Laplacian residual; p must be
     symmetric positive definite with p q = I to 1e-10 or the component
     labeling is considered broken.
@@ -47,12 +53,16 @@ def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
         # simply-connected degenerate case: empty basis, trivial Gram data
         return HarmonicBasis(domain, (), np.zeros((0, 0)), np.zeros((0, 0)))
 
+    eye = np.eye(n)
+    U = np.empty((sys.n_int, n))
+    T = np.empty((n, n))
+    for k in range(n):
+        U[:, k], T[:, k] = sys.solve_stream(np.zeros(sys.n_int), -eye[k])
+    Z = np.linalg.solve(T.T, U.T)  # row i: interior values of zeta_i
+
     zetas = []
     for i in range(n):
-        u = sys.lu_A.solve(sys.M[:, i])
-        theta = np.zeros(n)
-        theta[i] = 1.0
-        zeta = g.ScalarField(domain, sys.embed(u, theta))
+        zeta = g.ScalarField(domain, sys.embed(Z[i], eye[i]))
         res = g.linf(g.neg_laplacian(zeta))
         if res > tol * max(1.0, 1.0 / domain.h**2):
             raise ConvergenceError(
@@ -72,7 +82,7 @@ def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
         raise SolverError("Gram matrix p is not positive definite (mislabeled components?)")
     q = np.linalg.inv(p)
     q = 0.5 * (q + q.T)
-    if np.abs(p @ q - np.eye(n)).max() > 1e-10:
+    if np.abs(p @ q - eye).max() > 1e-10:
         raise SolverError("Gram matrix p is too ill-conditioned to invert")
     return HarmonicBasis(domain, zetas, p, q)
 

@@ -24,7 +24,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import grid as g
 from .errors import ConvergenceError, SolverError
-from .field import CondensedSystem
 
 
 @dataclass
@@ -258,23 +257,6 @@ def lambda_big(basis, tol: float = 1e-8) -> SpectralResult:
     fld = g.ScalarField(dom, sys.embed(u))
     flux = np.zeros(sys.n)  # maximizer is an interior density, no flux meaning
     return SpectralResult(lam, fld, flux, it, res)
-
-
-def dirichlet_ground(domain, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of the zero-boundary Laplacian Ah2 / h^2, by
-    shift-invert Lanczos (shift 0) on the cached Dirichlet factorization;
-    cached per domain."""
-    sys = CondensedSystem.of(domain)
-    key = ("dirichlet_ground", tol)
-    if key not in sys.cache:
-        h2 = sys.h2
-        sys.cache[key] = _lowest_eig(
-            lambda b: h2 * sys.lu_A.solve(b),
-            lambda x: (sys.Ah2 @ x) / h2,
-            sys.n_int,
-            tol,
-        )[0]
-    return sys.cache[key]
 
 
 def check_stability(basis, state, tol_eig: float = 1e-8, tol_margin: float = 1e-6) -> CriterionReport:

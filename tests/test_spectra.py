@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from arnoldstab import field, grid, oracle, spectra, steady
 
@@ -23,9 +24,14 @@ def test_minimizer_leaves_zero_boundary_space(basis32):
     assert abs(theta1) > 0.05
 
 
+def _dirichlet_ground(sys):
+    """Smallest eigenvalue of the zero-boundary Laplacian Ah2 / h^2."""
+    return float(eigsh(sys.Ah2 / sys.h2, k=1, sigma=0, return_eigenvectors=False)[0])
+
+
 def test_lambda_below_dirichlet_ground(basis32):
     lam = spectra.lambda_plain(basis32).value
-    assert lam < spectra.dirichlet_ground(basis32.domain)
+    assert lam < _dirichlet_ground(basis32.system)
 
 
 def test_shift_identity(basis32):
@@ -142,31 +148,47 @@ def test_constant_potential_matches_fresh_lanczos(basis32):
     assert np.array_equal(res.minimizer.values, fresh.minimizer.values)
 
 
-def test_verdict_lanczos_runs_per_domain(monkeypatch):
-    """A verdict on a linear profile makes 4 Lanczos runs per domain: the
-    plain eigenvalue, the Dirichlet ground value and one weak form per
-    check; mu of each check reuses the plain run."""
+def _calls_per_verdict(monkeypatch, module, name):
+    """Calls of module.name per domain (res-16 annulus, two-hole mask) made
+    by the basis, lambda, and the steady states and verdicts at 0.5 and
+    1.5 lambda."""
     from arnoldstab import harmonic
 
-    runs = []
+    calls = []
+    inner = getattr(module, name)
 
     def counting(*args, **kwargs):
-        runs.append(1)
-        return eigsh(*args, **kwargs)
+        calls.append(1)
+        return inner(*args, **kwargs)
 
-    eigsh = spectra.eigsh
-    monkeypatch.setattr(spectra, "eigsh", counting)
+    monkeypatch.setattr(module, name, counting)
     mask = np.ones((40, 64), dtype=bool)
     mask[14:26, 12:24] = False
     mask[14:26, 40:52] = False
     two_holes = grid.label_components(mask, h=1.0 / 16)
+    counts = []
     for dom, a in ((grid.build_annulus(1.0, 2.0, 16), [1.0]), (two_holes, [0.5, 0.2])):
-        runs.clear()
+        calls.clear()
         basis = harmonic.solve_basis(dom)
         lam = spectra.lambda_plain(basis).value
         for kappa in (0.5 * lam, 1.5 * lam):
             spectra.check_stability(basis, steady.steady_linear(basis, kappa, a))
-        assert len(runs) == 4
+        counts.append(len(calls))
+    return counts
+
+
+def test_verdict_lanczos_runs_per_domain(monkeypatch):
+    """A verdict on a linear profile makes 3 Lanczos runs per domain: the
+    plain eigenvalue and one weak form per check; mu of each check reuses
+    the plain run."""
+    assert _calls_per_verdict(monkeypatch, spectra, "eigsh") == [3, 3]
+
+
+def test_verdict_factorizations_per_domain(monkeypatch):
+    """The same sweep factorizes 3 matrices per domain: the bordered matrix
+    K, which also serves the harmonic basis, and one shifted copy per steady
+    slope kappa."""
+    assert _calls_per_verdict(monkeypatch, field, "splu") == [3, 3]
 
 
 def test_eigensolvers_match_dense_reference():
@@ -209,5 +231,3 @@ def test_eigensolvers_match_dense_reference():
     gamma = gp.sum() * h2
     Q = C - np.diag(gp) + (h2 / gamma) * np.outer(gp, gp)
     assert close(spectra.weak_pos_def(basis, st), np.linalg.eigvalsh(Q)[0])
-
-    assert close(spectra.dirichlet_ground(dom), np.linalg.eigvalsh(A / h2)[0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from arnoldstab import field, functionals as fn, grid, oracle, steady
 from arnoldstab.errors import SolverError
@@ -45,6 +46,17 @@ def test_steady_linear_scales_with_circulation(basis32, lam32):
 def test_near_resonant_kappa_rejected(basis32, lam32):
     with pytest.raises(SolverError):
         steady.steady_linear(basis32, lam32, [1.0])
+
+
+def test_kappa_at_dirichlet_ground_certifies(basis32):
+    """The shifted bordered matrix is singular only at eigenvalues of the
+    condensed operator, so a slope equal to the lowest zero-boundary
+    eigenvalue solves and certifies."""
+    sys = basis32.system
+    lam_d = float(eigsh(sys.Ah2 / sys.h2, k=1, sigma=0, return_eigenvectors=False)[0])
+    st = steady.steady_linear(basis32, lam_d, [1.0])
+    assert st.certified
+    assert st.flux_errors.max() <= 1e-9
 
 
 def test_picard_agrees_with_linear(basis32, lam32, stable_state32):
