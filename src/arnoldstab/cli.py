@@ -273,10 +273,7 @@ def _cmd_spectra(args):
     out = _outdir(args)
     basis = _basis(args)
     gf = _parse_g(args) if (args.g or args.kappa is not None) else functionals.GFunc.linear(0.0)
-    a = _parse_a(args.a)
-    st = steady.steady_picard(basis, gf, a) if gf.kind != "linear" else steady.steady_linear(
-        basis, gf.slope, a
-    )
+    st = _make_steady(args, basis, gf)
     report = spectra.check_stability(basis, st)
     lam = spectra.lambda_plain(basis)
     big = spectra.lambda_big(basis)
@@ -295,12 +292,7 @@ def _cmd_spectra(args):
 def _cmd_steady(args):
     out = _outdir(args)
     basis = _basis(args)
-    gf = _parse_g(args)
-    a = _parse_a(args.a)
-    if gf.kind == "linear":
-        st = steady.steady_linear(basis, gf.slope, a)
-    else:
-        st = steady.steady_picard(basis, gf, a, tol=args.tol)
+    st = _make_steady(args, basis)
     grid.write_field(os.path.join(out, "psi_bar.sfld"), st.psi_bar)
     grid.write_field(os.path.join(out, "omega_bar.sfld"), st.omega_bar)
     with open(os.path.join(out, "steady.csv"), "w") as fh:
@@ -313,12 +305,15 @@ def _cmd_steady(args):
     return ["psi_bar.sfld", "omega_bar.sfld", "steady.csv"]
 
 
-def _make_steady(args, basis):
-    gf = _parse_g(args)
+def _make_steady(args, basis, gf=None):
+    """Steady state of the profile gf (default: --g or --kappa) with the
+    circulations --a: linear profiles by `steady_linear`, the others by
+    `steady_picard` to the tolerance --tol."""
+    gf = _parse_g(args) if gf is None else gf
     a = _parse_a(args.a)
     if gf.kind == "linear":
         return steady.steady_linear(basis, gf.slope, a)
-    return steady.steady_picard(basis, gf, a)
+    return steady.steady_picard(basis, gf, a, tol=args.tol)
 
 
 def _cmd_probe(args):

@@ -6,9 +6,11 @@ constant rows impose a prescribed flux through that component.  The block
 matrix is exactly the discrete Dirichlet form on this space, hence symmetric
 positive definite; it is assembled and factorized once per domain, and that
 factorization is the only one a domain keeps.  The harmonic basis, the
-stream solves and the eigenproblems with a constant potential reuse it; a
-steady solve or a nonconstant potential factorizes a copy with a diagonal
-shift (`CondensedSystem.shifted_lu`).
+stream solves and the eigenproblems with a constant potential reuse it, and
+a steady solve runs MINRES preconditioned by it
+(`CondensedSystem.solve_shifted`); only an eigenproblem with a nonconstant
+potential factorizes a copy with a nonnegative diagonal shift
+(`CondensedSystem.shifted_lu`).
 
 Built on it:
 
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, minres, splu
 
 from . import grid as g
 from .errors import GridError, SolverError
@@ -35,12 +37,23 @@ from .errors import GridError, SolverError
 _FOUR_STRUCT = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+# MINRES iteration cap of a steady solve; at res 32-128 a solve converges
+# within 9-16 preconditioner solves
+_MINRES_CAP = 100
+
+
 def _factor(mat, what):
-    """Sparse LU with the minimum-degree ordering of A^T + A, which suits the
-    symmetric matrices here: at res 64 it halves the fill of the default
-    column ordering, and the triangular solves speed up with it."""
+    """Sparse LU of a symmetric positive definite matrix in SuperLU's
+    symmetric mode: the minimum-degree ordering of A^T + A, which at res 64
+    halves the fill of the default column ordering, and diagonal pivots,
+    which an SPD matrix needs no row exchanges for."""
     try:
-        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return splu(
+            mat.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
     except RuntimeError as exc:
         raise SolverError("%s factorization failed: %s" % (what, exc))
 
@@ -116,13 +129,39 @@ class CondensedSystem:
 
     def shifted_lu(self, d_int):
         """Factorization of K + diag(d_int, 0): the bordered matrix with a
-        diagonal shift on the interior rows only.  A zero shift returns the
-        cached factorization of K itself."""
+        nonnegative diagonal shift on the interior rows only, so still SPD.
+        A zero shift returns the cached factorization of K itself; a negative
+        one raises `SolverError`, since the factorization does not pivot."""
         d = np.broadcast_to(np.asarray(d_int, dtype=float), (self.n_int,))
+        if not (d >= 0.0).all():
+            raise SolverError("shifted condensed system needs a nonnegative shift")
         if not d.any():
             return self._lu_K
         shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
         return _factor(self.K + shift, "shifted condensed system")
+
+    def solve_shifted(self, s, rhs):
+        """z with (K - s diag(1_int, 0)) z = rhs, for any s that is not h^2
+        times an eigenvalue of the condensed operator.
+
+        s = 0 is one solve with the cached factorization of K.  Otherwise
+        MINRES (Paige & Saunders 1975) runs on the symmetric, possibly
+        indefinite, shifted matrix, preconditioned by that factorization:
+        the preconditioned spectrum is 1 - s / (h^2 mu) over the condensed
+        eigenvalues mu, and 1 on the border, so away from resonance a few
+        iterations reach working precision.  A run that stops at
+        `_MINRES_CAP` returns its last iterate; the caller's certificate
+        judges it.
+        """
+        if s == 0.0:
+            return self._lu_K.solve(rhs)
+        n = self.K.shape[0]
+        d = np.zeros(n)
+        d[: self.n_int] = s
+        shifted = self.K - sparse.diags(d, format="csc")
+        precond = LinearOperator((n, n), matvec=self._lu_K.solve, dtype=float)
+        z, _ = minres(shifted, rhs, M=precond, rtol=0.0, maxiter=_MINRES_CAP)
+        return z
 
     def solve_stream(self, omega_int, a):
         """(u_int, theta) with -lap u = omega and flux_k(u) = -a_k."""

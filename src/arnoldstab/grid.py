@@ -662,6 +662,11 @@ def read_field(path, domain: GridDomain | None = None) -> ScalarField:
     return ScalarField(dom, values)
 
 
+# largest mask a run-length file may declare: 4096 x 4096 nodes, 16 MB as
+# a boolean grid; the header alone must not make np.repeat allocate more
+_RLE_MAX_NODES = 1 << 24
+
+
 def _int_token(tok, path, least):
     """Integer header or body token of a mask file, at least `least`."""
     try:
@@ -708,12 +713,17 @@ def mask_from_pgm(path):
 
 def mask_from_rle(path):
     """Boolean mask from run-length text: header 'RLE nx ny', then
-    whitespace-separated (count, value) pairs in row-major order."""
+    whitespace-separated (count, value) pairs in row-major order.  A header
+    above `_RLE_MAX_NODES` nodes raises `GridError` before any run is read."""
     with open(path, "rb") as fh:
         tokens = fh.read().split()
     if not tokens or tokens[0] != b"RLE" or len(tokens) < 3:
         raise GridError("not an RLE mask file: %s" % path)
     nx, ny = _int_token(tokens[1], path, 1), _int_token(tokens[2], path, 1)
+    if nx * ny > _RLE_MAX_NODES:
+        raise GridError(
+            "RLE mask of %d x %d nodes is above the limit of %d" % (nx, ny, _RLE_MAX_NODES)
+        )
     body = tokens[3:]
     if len(body) % 2:
         raise GridError("RLE mask has dangling token")

@@ -76,11 +76,14 @@ def steady_linear(basis, kappa: float, a, cert_tol: float = 1e-8) -> SteadyState
     """Steady state with the linear profile g(s) = kappa s.
 
     Solves the shifted condensed system (Dirichlet form minus kappa times the
-    interior mass) with the circulation data.  Its border block is
-    invertible, so the system is singular exactly when kappa is an
-    eigenvalue of the condensed operator; kappa resonant with the lowest
-    one, the constrained ground value lambda, is rejected, and every other
-    kappa is left to the a-posteriori certificate.
+    interior mass) with the circulation data, by MINRES preconditioned with
+    the domain's one factorization (`CondensedSystem.solve_shifted`): no
+    matrix is factorized here.  The border block is invertible, so the
+    system is singular exactly when kappa is an eigenvalue of the condensed
+    operator; kappa resonant with the lowest one, the constrained ground
+    value lambda, is rejected, and every other kappa is left to the
+    a-posteriori certificate, which raises `ConvergenceError` also for a
+    MINRES run that stopped at its iteration cap.
     """
     dom = basis.domain
     av = g.as_circulation(a, dom)
@@ -94,9 +97,8 @@ def steady_linear(basis, kappa: float, a, cert_tol: float = 1e-8) -> SteadyState
             "kappa = %g is resonant with the constrained eigenvalue %g" % (kappa, lam)
         )
 
-    lu = sys.shifted_lu(-kappa * sys.h2)
     rhs = np.concatenate([np.zeros(sys.n_int), -av])
-    z = lu.solve(rhs)
+    z = sys.solve_shifted(kappa * sys.h2, rhs)
     u = z[: sys.n_int]
     theta = z[sys.n_int :] if sys.n else np.zeros(0)
     psi = g.ScalarField(dom, sys.embed(u, theta))

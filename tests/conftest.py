@@ -25,6 +25,15 @@ def basis16(annulus16):
 
 
 @pytest.fixture(scope="session")
+def two_hole_basis():
+    """Two square holes in a 40 x 64 mask at h = 1/16."""
+    mask = np.ones((40, 64), dtype=bool)
+    mask[14:26, 12:24] = False
+    mask[14:26, 40:52] = False
+    return harmonic.solve_basis(grid.label_components(mask, h=1.0 / 16))
+
+
+@pytest.fixture(scope="session")
 def lam32(basis32):
     return spectra.lambda_plain(basis32).value
 

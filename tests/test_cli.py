@@ -212,3 +212,35 @@ def test_simulate_snapshots(tmp_path):
     assert len(snaps) >= 2
     fld = grid.read_field(snaps[0])
     assert fld.domain.n_components == 2
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_picard_tolerance_follows_tol_flag(tmp_path, monkeypatch):
+    """Every subcommand that builds a non-linear steady state hands --tol,
+    default 1e-10, to steady_picard."""
+    from arnoldstab import steady
+
+    seen = []
+
+    def picard(basis, gf, a, **kwargs):
+        seen.append(kwargs.get("tol"))
+        raise _Stop
+
+    monkeypatch.setattr(steady, "steady_picard", picard)
+    profile = ["--g", "affine:1.0,0.3", "--a", "1.0", "--out", str(tmp_path / "o")]
+    commands = (
+        ["steady"],
+        ["spectra"],
+        ["probe"],
+        ["simulate"],
+        ["functional", "--functional", "H", "--omega-const", "0.5"],
+    )
+    for flag, tol in ((["--tol", "1e-7"], 1e-7), ([], 1e-10)):
+        for cmd in commands:
+            seen.clear()
+            with pytest.raises(_Stop):
+                run_cli(cmd[0], *BASE, *profile, *flag, *cmd[1:])
+            assert seen == [tol], cmd[0]

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,28 @@ def test_mask_rle_malformed_tokens(tmp_path):
         path.write_text(text)
         with pytest.raises(GridError):
             grid.mask_from_rle(path)
+
+
+def test_mask_rle_node_cap(tmp_path):
+    """A header above the node cap raises before any run is expanded: a mask
+    just over the cap, whose runs are consistent and would otherwise be
+    accepted, and then the 10^10-node bomb (checked second, so that a parser
+    without the cap fails on the small case before it reaches the bomb)."""
+    path = tmp_path / "mask.rle"
+    side = 1 << 12
+    over_cap = "RLE %d %d %d 1" % (side + 1, side, (side + 1) * side)
+    for text in (over_cap, "RLE 100000 100000 10000000000 1"):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError, match="above the limit"):
+                grid.mask_from_rle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    path.write_text("RLE %d %d %d 1" % (side, side, side * side))
+    assert grid.mask_from_rle(path).shape == (side, side)
 
 
 def test_mask_pgm(tmp_path):

@@ -185,10 +185,10 @@ def test_verdict_lanczos_runs_per_domain(monkeypatch):
 
 
 def test_verdict_factorizations_per_domain(monkeypatch):
-    """The same sweep factorizes 3 matrices per domain: the bordered matrix
-    K, which also serves the harmonic basis, and one shifted copy per steady
-    slope kappa."""
-    assert _calls_per_verdict(monkeypatch, field, "splu") == [3, 3]
+    """The same sweep factorizes one matrix per domain: the bordered matrix
+    K, which serves the harmonic basis, the eigen-solves and, as the MINRES
+    preconditioner, the steady state of each slope kappa."""
+    assert _calls_per_verdict(monkeypatch, field, "splu") == [1, 1]
 
 
 def test_eigensolvers_match_dense_reference():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy import sparse
+from scipy.sparse.linalg import eigsh, spsolve
 
-from arnoldstab import field, functionals as fn, grid, oracle, steady
-from arnoldstab.errors import SolverError
+from arnoldstab import field, functionals as fn, grid, harmonic, oracle, spectra, steady
+from arnoldstab.errors import ConvergenceError, SolverError
 
 
 def test_zero_slope_is_circulation_flow(basis32):
@@ -57,6 +58,70 @@ def test_kappa_at_dirichlet_ground_certifies(basis32):
     st = steady.steady_linear(basis32, lam_d, [1.0])
     assert st.certified
     assert st.flux_errors.max() <= 1e-9
+
+
+@pytest.mark.parametrize("frac", [-1.0, 0.5, 0.99, 1.5, 3.0])
+@pytest.mark.parametrize("which", ["annulus", "two_holes"])
+def test_steady_linear_matches_direct_solve(which, frac, basis32, two_hole_basis):
+    """The MINRES solve of the shifted bordered system agrees with a direct
+    sparse solve of the same matrix, below, between and above the lowest
+    condensed eigenvalues lambda."""
+    basis, a = (basis32, [1.0]) if which == "annulus" else (two_hole_basis, [0.5, 0.2])
+    sys = basis.system
+    kappa = frac * spectra.lambda_plain(basis).value
+    st = steady.steady_linear(basis, kappa, a)
+    d = np.concatenate([np.full(sys.n_int, kappa * sys.h2), np.zeros(sys.n)])
+    rhs = np.concatenate([np.zeros(sys.n_int), -np.asarray(a)])
+    z = spsolve((sys.K - sparse.diags(d)).tocsc(), rhs)
+    ref = sys.embed(z[: sys.n_int], z[sys.n_int :])
+    assert np.abs(st.psi_bar.values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+class _CountingLU:
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def test_steady_linear_solves_with_K(monkeypatch):
+    """A res-32 steady state takes at most 30 solves with the cached
+    factorization of K, and factorizes nothing."""
+    lus = []
+    splu = field.splu
+
+    def counting_splu(*args, **kwargs):
+        lus.append(_CountingLU(splu(*args, **kwargs)))
+        return lus[-1]
+
+    monkeypatch.setattr(field, "splu", counting_splu)
+    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
+    lam = spectra.lambda_plain(basis).value
+    for frac in (0.5, 1.5):
+        lus[0].solves = 0
+        assert steady.steady_linear(basis, frac * lam, [1.0]).certified
+        assert len(lus) == 1
+        assert 0 < lus[0].solves <= 30
+
+
+def test_steady_linear_minres_cap_goes_to_certificate(basis32, lam32, monkeypatch):
+    """A MINRES run stopped by its iteration cap is judged by the
+    certificate, which raises."""
+    monkeypatch.setattr(field, "_MINRES_CAP", 2)
+    with pytest.raises(ConvergenceError):
+        steady.steady_linear(basis32, 0.5 * lam32, [1.0])
+
+
+def test_steady_linear_certifies_at_res128():
+    """The res-128 steady state at kappa = lambda / 2 meets the unchanged
+    certificate (a direct solve of the shifted matrix left 1.5e-8)."""
+    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 128))
+    st = steady.steady_linear(basis, 0.5 * spectra.lambda_plain(basis).value, [1.0])
+    assert st.certified
+    assert st.residual_pde <= 1e-8 * max(1.0, float(np.abs(st.omega_bar.values).max()))
 
 
 def test_picard_agrees_with_linear(basis32, lam32, stable_state32):

@@ -16,15 +16,6 @@ from arnoldstab import (
 )
 
 
-@pytest.fixture(scope="module")
-def two_hole_basis():
-    mask = np.ones((40, 64), dtype=bool)
-    mask[14:26, 12:24] = False
-    mask[14:26, 40:52] = False
-    dom = grid.label_components(mask, h=1.0 / 16)
-    return harmonic.solve_basis(dom)
-
-
 def test_geometry_and_gram(two_hole_basis):
     b = two_hole_basis
     assert b.domain.n_components == 3
