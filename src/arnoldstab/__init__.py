@@ -6,7 +6,6 @@ vorticity-transport simulator."""
 __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
-    CirculationVector,
     GridDomain,
     ScalarField,
     boundary_flux,

@@ -322,9 +322,7 @@ def criterion_7(ctx):
     st = ctx.stable_state(32)
     n_samples = 50 if ctx.quick else 200
     radius = 0.1 * grid.lp_norm(st.omega_bar)
-    rep = rearrange.local_max_probe(
-        basis, st, radius, n_samples, ctx.seed, tol_factor=1e-8
-    )
+    rep = rearrange.local_max_probe(basis, st, radius, n_samples, ctx.seed)
     rep.write_csv(os.path.join(ctx.out_dir, "probe_local_max.csv"))
 
     tiny = grid.label_components(np.ones((4, 6), dtype=bool), h=1.0)
@@ -332,7 +330,7 @@ def criterion_7(ctx):
     lam_t = spectra.lambda_plain(tb).value
     gkt = functionals.GFunc.affine(0.3 * lam_t, 1.0)
     st_t = steady.steady_picard(tb, gkt, np.zeros(0))
-    rep_t = rearrange.local_max_probe(tb, st_t, 0.0, 0, ctx.seed, exhaustive=True)
+    rep_t = rearrange.local_max_probe(tb, st_t, 0.0, 0, ctx.seed)  # 8 cells: exhaustive
     e_scale = abs(functionals.energy(tb, st_t.omega_bar, st_t.a))
     ok = (
         rep.violations == 0

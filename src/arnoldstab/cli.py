@@ -29,54 +29,78 @@ from . import spectra, steady
 from .errors import ConfigError, GridError, SolverError
 from .svgplot import render_line_plot
 
-_CONFIG_KEYS = {
-    "domain", "rin", "rout", "res", "mask_file", "g", "kappa", "a", "b_offset",
-    "seed", "tol", "out", "omega", "omega_const", "functional", "s", "m",
-    "radius_frac", "samples", "turnovers", "t_final", "cfl",
-    "perturb", "amplitude", "cadence", "snap_every", "quick", "criteria",
-    "bins", "n",
-}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config(path):
-    """Plain key=value file; '#' starts a comment; unknown keys rejected."""
-    out = {}
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other bad input: the usage,
+    then one `config error:` line, and exit status 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, "config error: %s\n" % message)
+
+
+def _numbers(kind):
+    """argparse type: comma-separated numbers of the given kind, as a tuple."""
+
+    def parse(text):
+        try:
+            return tuple(kind(t) for t in text.split(",") if t.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected comma-separated numbers, got %r" % text
+            ) from None
+
+    return parse
+
+
+def _subcommands(parser):
+    """The subcommand parsers of `build_parser()`, by name."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _config_values(path, command, sp):
+    """Option values for the subcommand parser sp from a key=value file;
+    '#' starts a comment.  The keys are sp's option names (with dashes or
+    underscores) and each value converts as the flag's would, so a file
+    can set nothing that the command line could not."""
+    actions = {a.dest: a for a in sp._actions if a.dest != "help"}
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-                key, val = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-                out[key] = val.strip()
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
-    return out
+    values = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = "%s:%d" % (path, lineno)
+        if "=" not in line:
+            raise ConfigError("%s: expected key=value" % where)
+        key, text = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in actions:
+            raise ConfigError("%s: unknown key %r for %s" % (where, key, command))
+        try:
+            values[key] = _convert(actions[key], text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError("%s: bad value for %s: %s" % (where, key, exc))
+    return values
 
 
-def _apply_config(args, cfg):
-    for key, val in cfg.items():
-        if getattr(args, key, None) in (None, False):
-            default_type = _ARG_TYPES.get(key, str)
-            if default_type is bool:
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, default_type(val))
-    return args
-
-
-_ARG_TYPES = {
-    "rin": float, "rout": float, "res": int, "kappa": float, "s": float,
-    "m": float, "radius_frac": float, "samples": int, "turnovers": float,
-    "t_final": float, "cfl": float, "amplitude": float, "cadence": int,
-    "snap_every": int, "seed": int, "tol": float, "b_offset": float,
-    "bins": int, "n": int, "quick": bool,
-}
+def _convert(action, text):
+    """A config-file value as the option's own parse would produce it."""
+    if action.nargs == 0:  # a switch such as --quick
+        if text.lower() not in _BOOLS:
+            raise ValueError("expected 0 or 1, got %r" % text)
+        return _BOOLS[text.lower()]
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("%r is not one of %s" % (value, ", ".join(action.choices)))
+    return value
 
 
 def _read_input(reader, path, **kwargs):
@@ -91,58 +115,50 @@ def _read_input(reader, path, **kwargs):
 def _build_domain(args):
     if args.domain == "annulus":
         return grid.build_annulus(args.rin, args.rout, args.res)
-    if args.domain == "mask":
-        if not args.mask_file:
-            raise ConfigError("--domain mask requires --mask-file")
-        reader = grid.mask_from_pgm if args.mask_file.endswith(".pgm") else grid.mask_from_rle
-        mask = _read_input(reader, args.mask_file)
-        return grid.label_components(mask, h=1.0 / args.res)
-    raise ConfigError("unknown domain kind %r" % args.domain)
+    if not args.mask_file:
+        raise ConfigError("--domain mask requires --mask-file")
+    reader = grid.mask_from_pgm if args.mask_file.endswith(".pgm") else grid.mask_from_rle
+    mask = _read_input(reader, args.mask_file)
+    return grid.label_components(mask, h=1.0 / args.res)
 
 
 def _parse_g(args):
+    """The profile from --g, else g(s) = kappa s from --kappa; a malformed
+    spec or an unreadable or invalid table is a configuration error."""
     spec = args.g
-    if spec is None and args.kappa is not None:
-        return functionals.GFunc.linear(args.kappa)
     if spec is None:
-        raise ConfigError("need --g or --kappa")
+        if args.kappa is None:
+            raise ConfigError("need --g or --kappa")
+        return functionals.GFunc.linear(args.kappa)
     kind, _, rest = spec.partition(":")
-    if kind == "linear":
-        return functionals.GFunc.linear(float(rest))
-    if kind == "affine":
-        sl, off = rest.split(",")
-        return functionals.GFunc.affine(float(sl), float(off))
-    if kind == "table":
-        data = np.loadtxt(rest, delimiter=",")
-        return functionals.GFunc.tabulated(data[:, 0], data[:, 1])
+    try:
+        if kind == "linear":
+            return functionals.GFunc.linear(float(rest))
+        if kind == "affine":
+            sl, off = rest.split(",")
+            return functionals.GFunc.affine(float(sl), float(off))
+        if kind == "table":
+            data = np.loadtxt(rest, delimiter=",")
+            return functionals.GFunc.tabulated(data[:, 0], data[:, 1])
+    except (OSError, ValueError, IndexError, GridError) as exc:
+        raise ConfigError("bad profile spec %r: %s" % (spec, exc))
     raise ConfigError("unknown profile spec %r" % spec)
 
 
-def _parse_a(text):
-    if text is None:
-        return np.array([1.0])
-    return np.array([float(t) for t in text.split(",") if t.strip()])
-
-
 def _outdir(args):
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_manifest(out, args, t0, outputs):
     manifest = {
         "command": args.command,
         "argv": sys.argv[1:],
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func",) and not k.startswith("_")
-        },
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "package_version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "thread_cap": _threads,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
@@ -195,7 +211,7 @@ def _load_omega(args, dom):
     if args.omega:
         return _read_input(grid.read_field, args.omega, domain=dom)
     if args.omega_const is not None:
-        return dom.constant(float(args.omega_const))
+        return dom.constant(args.omega_const)
     return dom.zeros()
 
 
@@ -204,7 +220,7 @@ def _cmd_stream(args):
     basis = _basis(args)
     dom = basis.domain
     omega = _load_omega(args, dom)
-    a = _parse_a(args.a)
+    a = args.a
     sol = field.stream_solve(basis, omega, a)
     vel = field.velocity(sol.psi)
     grid.write_field(os.path.join(out, "psi.sfld"), sol.psi)
@@ -218,13 +234,15 @@ def _cmd_stream(args):
 
 
 def _cmd_functional(args):
+    which = args.functional
+    if which is None:
+        raise ConfigError("need --functional (E, EC, D, Ds, Dhat or H)")
     out = _outdir(args)
     basis = _basis(args)
     dom = basis.domain
     omega = _load_omega(args, dom)
-    a = _parse_a(args.a)
+    a = args.a
     gf = _parse_g(args)
-    which = args.functional
     gext = _extended(gf, omega, basis, a)
     lp = functionals.legendre(gext)
     row = {"functional": which}
@@ -236,20 +254,17 @@ def _cmd_functional(args):
         row["value"] = functionals.supporting_d(basis, omega, a, gext)
     elif which == "Ds":
         m = args.m if args.m is not None else grid.integrate(omega)
-        row["value"] = functionals.supporting_d_s(basis, omega, a, gext, args.s or 0.0, m)
+        row["value"] = functionals.supporting_d_s(basis, omega, a, gext, args.s, m)
     elif which == "Dhat":
         m = args.m if args.m is not None else grid.integrate(omega)
         value, mu = functionals.supporting_d_hat(basis, omega, a, gext, m)
         row["value"] = value
         row["mu"] = mu
-    elif which == "H":
+    else:  # H: the input field is the perturbed vorticity
         st = _make_steady(args, basis)
-        # interpret the input field as the perturbed vorticity
         phi = omega - st.omega_bar
         psi_pert = field.stream_solve(basis, phi, np.zeros(len(a))).psi
         row["value"] = functionals.stream_energy_casimir(psi_pert, lp, st)
-    else:
-        raise ConfigError("unknown functional %r" % which)
     path = os.path.join(out, "functional.csv")
     new = not os.path.exists(path)
     with open(path, "a") as fh:
@@ -310,10 +325,9 @@ def _make_steady(args, basis, gf=None):
     circulations --a: linear profiles by `steady_linear`, the others by
     `steady_picard` to the tolerance --tol."""
     gf = _parse_g(args) if gf is None else gf
-    a = _parse_a(args.a)
     if gf.kind == "linear":
-        return steady.steady_linear(basis, gf.slope, a)
-    return steady.steady_picard(basis, gf, a, tol=args.tol)
+        return steady.steady_linear(basis, gf.slope, args.a)
+    return steady.steady_picard(basis, gf, args.a, tol=args.tol)
 
 
 def _cmd_probe(args):
@@ -345,17 +359,18 @@ def _cmd_simulate(args):
     out = _outdir(args)
     basis = _basis(args)
     st = _make_steady(args, basis)
-    mode, _, amp = (args.perturb or "none:0").partition(":")
+    mode, _, amp = args.perturb.partition(":")
+    try:
+        amplitude = float(amp or 0.0)
+    except ValueError:
+        raise ConfigError("bad perturbation %r: amplitude is not a number" % args.perturb)
     spec = dynamics.PerturbationSpec(
-        mode=mode if mode else "none",
-        amplitude=float(amp or 0.0),
-        seed=args.seed,
-        b_offset=args.b_offset or 0.0,
+        mode=mode or "none", amplitude=amplitude, seed=args.seed, b_offset=args.b_offset
     )
     omega0, b = dynamics.perturb(st, spec)
     t_final = args.t_final
     if t_final is None:
-        t_final = (args.turnovers or 1.0) * dynamics.turnover_time(basis, st.omega_bar, st.a)
+        t_final = args.turnovers * dynamics.turnover_time(basis, st.omega_bar, st.a)
     gext = functionals.extend_g(st.g, st.psi_min, st.psi_max)
     cfg = dynamics.SimConfig(
         t_final=t_final,
@@ -384,7 +399,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_oracle(args):
-    rp = oracle.RadialProblem(args.rin, args.rout, args.n or 4096)
+    rp = oracle.RadialProblem(args.rin, args.rout, args.n)
     zeta, p11, q11 = oracle.annulus_closed_forms(args.rin, args.rout)
     rows = [
         ("p11", p11),
@@ -401,9 +416,9 @@ def _cmd_oracle(args):
 def _cmd_report(args):
     if not args.csv:
         raise ConfigError("report needs --csv")
-    out = args.out or os.path.dirname(args.csv) or "."
-    os.makedirs(out, exist_ok=True)
-    target = os.path.join(out, args.svg or "plot.svg")
+    if args.out is None:  # the plot and the manifest go beside the CSV
+        args.out = os.path.dirname(args.csv) or "."
+    target = os.path.join(_outdir(args), args.svg)
     render_line_plot(args.csv, target, x=args.x, ys=args.ys.split(",") if args.ys else None)
     print("wrote", target)
     return [os.path.basename(target)]
@@ -413,13 +428,8 @@ def _cmd_verify_all(args):
     from . import acceptance
 
     out = _outdir(args)
-    ids = None
-    if args.criteria:
-        ids = [int(t) for t in args.criteria.split(",") if t.strip()]
-    ctx = acceptance.AcceptanceContext(
-        out_dir=out, quick=bool(args.quick), seed=args.seed or 20240801
-    )
-    results = acceptance.run(ctx, ids=ids)
+    ctx = acceptance.AcceptanceContext(out_dir=out, quick=args.quick, seed=args.seed)
+    results = acceptance.run(ctx, ids=args.criteria)
     acceptance.write_summary(results, os.path.join(out, "acceptance.csv"))
     n_fail = sum(1 for r in results if not r.passed)
     print(acceptance.summary_table(results))
@@ -427,26 +437,30 @@ def _cmd_verify_all(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    """The command-line parser: the one declaration of every option's name,
+    type and default, for flags and config files alike."""
+    p = _Parser(
         prog="arnoldstab",
         description="Stability toolkit for steady 2D ideal flows in multiply-connected domains",
     )
-    p.add_argument("--config", help="key=value config file (flags override)")
+    p.add_argument("--config", help="key=value file of option values (flags override)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--domain", default=None, choices=["annulus", "mask"])
-        sp.add_argument("--rin", type=float, default=None)
-        sp.add_argument("--rout", type=float, default=None)
-        sp.add_argument("--res", type=int, default=None)
+        sp.add_argument("--domain", default="annulus", choices=["annulus", "mask"])
+        sp.add_argument("--rin", type=float, default=1.0)
+        sp.add_argument("--rout", type=float, default=2.0)
+        sp.add_argument("--res", type=int, default=32)
         sp.add_argument("--mask-file", dest="mask_file", default=None)
         sp.add_argument("--g", default=None, help="linear:K | affine:K,C | table:FILE")
         sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--a", default=None, help="comma-separated circulations")
-        sp.add_argument("--b-offset", dest="b_offset", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", default=None)
+        sp.add_argument(
+            "--a", type=_numbers(float), default="1.0", help="comma-separated circulations"
+        )
+        sp.add_argument("--b-offset", dest="b_offset", type=float, default=0.0)
+        sp.add_argument("--seed", type=int, default=20240801)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--out", default="out")
 
     for name, fn in [
         ("gen", _cmd_gen),
@@ -467,24 +481,26 @@ def build_parser():
 
     sp = sub.choices["stream"]
     sp.add_argument("--omega", default=None, help="vorticity field file")
-    sp.add_argument("--omega-const", dest="omega_const", default=None)
+    sp.add_argument("--omega-const", dest="omega_const", type=float, default=None)
 
     sp = sub.choices["functional"]
-    sp.add_argument("--functional", required=True, choices=["E", "EC", "D", "Ds", "Dhat", "H"])
+    sp.add_argument("--functional", default=None, choices=["E", "EC", "D", "Ds", "Dhat", "H"])
     sp.add_argument("--omega", default=None)
-    sp.add_argument("--omega-const", dest="omega_const", default=None)
-    sp.add_argument("--s", type=float, default=None)
-    sp.add_argument("--m", type=float, default=None)
+    sp.add_argument("--omega-const", dest="omega_const", type=float, default=None)
+    sp.add_argument("--s", type=float, default=0.0)
+    sp.add_argument("--m", type=float, default=None, help="mass (default: that of omega)")
 
     sp = sub.choices["probe"]
     sp.add_argument("--radius-frac", dest="radius_frac", type=float, default=0.1)
     sp.add_argument("--samples", type=int, default=200)
 
     sp = sub.choices["simulate"]
-    sp.add_argument("--turnovers", type=float, default=None)
-    sp.add_argument("--t-final", dest="t_final", type=float, default=None)
+    sp.add_argument("--turnovers", type=float, default=1.0)
+    sp.add_argument(
+        "--t-final", dest="t_final", type=float, default=None, help="overrides --turnovers"
+    )
     sp.add_argument("--cfl", type=float, default=0.5)
-    sp.add_argument("--perturb", default=None, help="swap:AMP | bump:AMP | none:0")
+    sp.add_argument("--perturb", default="none:0", help="swap:AMP | bump:AMP | none:0")
     sp.add_argument("--cadence", type=int, default=8)
     sp.add_argument("--snap-every", dest="snap_every", type=int, default=0)
 
@@ -492,39 +508,33 @@ def build_parser():
     sp.add_argument("--n", type=int, default=4096)
 
     sp = sub.choices["report"]
+    sp.set_defaults(out=None)  # the directory of --csv
     sp.add_argument("--csv", default=None)
     sp.add_argument("--x", default=None)
     sp.add_argument("--ys", default=None)
-    sp.add_argument("--svg", default=None)
+    sp.add_argument("--svg", default="plot.svg")
 
     sp = sub.choices["verify-all"]
     sp.add_argument("--quick", action="store_true", default=False)
-    sp.add_argument("--criteria", default=None, help="comma-separated criterion ids")
+    sp.add_argument(
+        "--criteria", type=_numbers(int), default=None, help="comma-separated criterion ids"
+    )
     return p
 
 
-_DEFAULTS = {
-    "domain": "annulus",
-    "rin": 1.0,
-    "rout": 2.0,
-    "res": 32,
-    "seed": 20240801,
-    "tol": 1e-10,
-}
-
-
 def main(argv=None) -> int:
+    """Run one subcommand.  An option takes its value from the command line,
+    else from the --config file, else from `build_parser`."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        sp = _subcommands(parser)[args.command]
         try:
-            args = _apply_config(args, _read_config(args.config))
+            sp.set_defaults(**_config_values(args.config, args.command, sp))
         except ConfigError as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 2
-    for key, val in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+        args = parser.parse_args(argv)
 
     t0 = time.time()
     try:
@@ -541,7 +551,7 @@ def main(argv=None) -> int:
         outputs, code = result
     else:
         outputs = result or []
-    if args.command != "oracle" and getattr(args, "out", None) is not False:
+    if args.command != "oracle":
         try:
             _write_manifest(_outdir(args), args, t0, outputs)
         except OSError as exc:  # pragma: no cover

@@ -43,22 +43,23 @@ class PerturbationSpec:
     amplitude: float = 0.0
     seed: int = 0
     b_offset: float = 0.0
-    bump_radius: float | None = None
+
+
+# steps `run` may take before it gives up on reaching t_final
+_MAX_STEPS = 2_000_000
 
 
 @dataclass
 class SimConfig:
-    """Time-integration configuration."""
+    """Time-integration configuration.  Distances to the reference are
+    discrete L2 norms."""
 
     t_final: float
     dt: float | None = None
     cfl: float = 0.5
     monitor_every: int = 8
-    p: float = 2.0
-    hist_bins: int | None = None
     reference: g.ScalarField | None = None
     legendre: LegendrePair | None = None
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
@@ -403,8 +404,8 @@ def _monitor_row(state: SimState, cfg: SimConfig, omega_init, reference):
         ec = e - casimir(dom, state.omega, cfg.legendre)
     else:
         ec = float("nan")
-    dist = g.lp_norm(state.omega - reference, cfg.p)
-    hdist = histogram_distance(state.omega, omega_init, cfg.hist_bins)
+    dist = g.lp_norm(state.omega - reference)
+    hdist = histogram_distance(state.omega, omega_init)
     circs = [
         circulation(state.vel, k, omega=state.omega)
         for k in range(1, dom.n_components)
@@ -412,9 +413,9 @@ def _monitor_row(state: SimState, cfg: SimConfig, omega_init, reference):
     return (state.t, e, kin, ec, dist, hdist, *circs)
 
 
-def _fast_dist(dom, w_values, ref_values, p):
+def _fast_dist(dom, w_values, ref_values):
     d = np.abs(w_values[dom.interior_ids] - ref_values[dom.interior_ids])
-    return float((np.sum(d**p) * dom.h * dom.h) ** (1.0 / p))
+    return float((np.sum(d**2.0) * dom.h * dom.h) ** 0.5)
 
 
 def run(basis, omega0: g.ScalarField, b, cfg: SimConfig, on_monitor=None) -> DiagnosticsSeries:
@@ -429,19 +430,19 @@ def run(basis, omega0: g.ScalarField, b, cfg: SimConfig, on_monitor=None) -> Dia
         "circ_%d" % k for k in range(1, dom.n_components)
     )
     series = DiagnosticsSeries(columns=columns)
-    series.init_dist = _fast_dist(dom, omega0.values, reference.values, cfg.p)
+    series.init_dist = _fast_dist(dom, omega0.values, reference.values)
     series.rows.append(_monitor_row(state, cfg, omega0, reference))
     series.sup_dist = series.init_dist
     if on_monitor is not None:
         on_monitor(state)
 
     while state.t < cfg.t_final - 1e-12:
-        if state.step_index >= cfg.max_steps:
+        if state.step_index >= _MAX_STEPS:
             raise DynamicsError("step budget exhausted before t_final")
         state = step(state, cfg, dt_cap=cfg.t_final - state.t)
         series.sup_dist = max(
             series.sup_dist,
-            _fast_dist(dom, state.omega.values, reference.values, cfg.p),
+            _fast_dist(dom, state.omega.values, reference.values),
         )
         if (
             state.step_index % max(1, cfg.monitor_every) == 0
@@ -470,8 +471,9 @@ def perturb(state, spec: PerturbationSpec):
 
     'swap' mode returns an exact rearrangement at distance just under the
     amplitude; 'bump' adds a smooth compactly supported bump of unit discrete
-    L2 norm scaled by the amplitude.  The circulation vector is shifted
-    uniformly by b_offset.
+    L2 norm scaled by the amplitude, centred on the fluid node farthest from
+    the walls and of radius 0.8 times that distance.  The circulation vector
+    is shifted uniformly by b_offset.
     """
     dom = state.psi_bar.domain
     b = state.a + spec.b_offset
@@ -486,7 +488,7 @@ def perturb(state, spec: PerturbationSpec):
     fluid = dom.kinds != g.EXTERIOR
     dist = ndimage.distance_transform_edt(fluid) * dom.h
     j, i = np.unravel_index(np.argmax(dist), dist.shape)
-    radius = spec.bump_radius if spec.bump_radius is not None else 0.8 * float(dist[j, i])
+    radius = 0.8 * float(dist[j, i])
     cx = dom.origin[0] + i * dom.h
     cy = dom.origin[1] + j * dom.h
     rho2 = ((dom.node_x - cx) ** 2 + (dom.node_y - cy) ** 2) / radius**2
@@ -494,7 +496,7 @@ def perturb(state, spec: PerturbationSpec):
     inside = rho2 < 1.0
     vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
     bump = g.ScalarField(dom, vals)
-    nrm = g.lp_norm(bump, 2.0)
+    nrm = g.lp_norm(bump)
     if nrm == 0:
         raise GridError("bump support contains no interior cell")
     omega0 = g.ScalarField(
@@ -572,7 +574,7 @@ def stability_experiment(
     once per b_offset and its row repeated for every mode.
     """
     wbar = state.omega_bar
-    nbar = g.lp_norm(wbar, cfg.p)
+    nbar = g.lp_norm(wbar)
     rows = []
     tover = turnover_time(basis, wbar, state.a)
     local = replace(cfg, reference=wbar)

@@ -424,12 +424,16 @@ def supporting_d_s(basis, w: g.ScalarField, a, gf: GFunc, s: float, m: float) ->
     return _Sample(basis, w, a).d_s(gf, s, m)
 
 
-def solve_mu(domain, psi_w_interior, gf: GFunc, m: float, s_cap: float = 2.0**20):
+# largest |s| the bracket of `solve_mu` may reach
+_MU_SPAN_CAP = 2.0**20
+
+
+def solve_mu(domain, psi_w_interior, gf: GFunc, m: float):
     """Shift mu with int g(psi_w - mu) = m, by monotone bisection.
 
     The map s -> int g(psi_w - s) is nonincreasing and covers the line thanks
     to the linear tails, so a sign change exists; the bracket is auto-expanded
-    by doubling up to s_cap.
+    by doubling up to _MU_SPAN_CAP.
     """
     h2 = domain.h * domain.h
 
@@ -441,9 +445,9 @@ def solve_mu(domain, psi_w_interior, gf: GFunc, m: float, s_cap: float = 2.0**20
     f_hi = fval(span)
     while f_lo < 0.0 or f_hi > 0.0:
         span *= 2.0
-        if span > s_cap:
+        if span > _MU_SPAN_CAP:
             raise ConvergenceError(
-                "no sign change for the shift equation within |s| <= %g" % s_cap
+                "no sign change for the shift equation within |s| <= %g" % _MU_SPAN_CAP
             )
         f_lo = fval(-span)
         f_hi = fval(span)

@@ -319,29 +319,9 @@ class ScalarField:
         return ScalarField(self.domain, -self.values)
 
 
-class CirculationVector:
-    """Circulations around the inner boundary components (length N)."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
-        if not np.all(np.isfinite(self.a)):
-            raise GridError("circulations must be finite")
-
-    def __len__(self):
-        return len(self.a)
-
-    def __iter__(self):
-        return iter(self.a)
-
-
 def as_circulation(a, domain):
     """Normalize a to a length-N float array for the given domain."""
-    if isinstance(a, CirculationVector):
-        arr = a.a
-    else:
-        arr = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
+    arr = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
     n = domain.n_components - 1
     if arr.size != n:
         raise GridError("circulation vector has length %d, expected %d" % (arr.size, n))
@@ -560,9 +540,11 @@ def label_components(mask, h: float = 1.0, origin=(0.0, 0.0)) -> GridDomain:
     """Build a GridDomain from a boolean fluid mask (True = fluid node).
 
     Fluid nodes adjacent to non-fluid (or the grid frame) become boundary
-    nodes; boundary components are labeled by flood fill, label 0 being the
-    component adjacent to the unbounded exterior region.  Deterministic: the
-    hole labels follow raster scan order.
+    nodes, each labeled by the exterior region it touches: label 0 for the
+    unbounded one, and the holes 1, 2, ... in the raster order of their first
+    boundary node.  A node that touches several regions takes the largest
+    region's label, and `GridDomain` then rejects the mask, as it does a
+    disconnected interior.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
@@ -574,37 +556,15 @@ def label_components(mask, h: float = 1.0, origin=(0.0, 0.0)) -> GridDomain:
         ~padm[1:-1, :-2] | ~padm[1:-1, 2:] | ~padm[:-2, 1:-1] | ~padm[2:, 1:-1]
     )
     bnd = mask & nbr_off
-    inter = mask & ~bnd
-    if not inter.any():
-        raise GridError("mask has no interior nodes")
-    _, n_comp = ndimage.label(inter, structure=_FOUR)
-    if n_comp != 1:
-        raise GridError("interior disconnected (%d components)" % n_comp)
+    kinds = np.where(mask, INTERIOR, EXTERIOR).astype(np.uint8)
 
-    # map each boundary node to the exterior region it touches
     nbrs, _, unbounded = exterior_regions(~mask)
-    kinds = np.full(mask.shape, EXTERIOR, dtype=np.uint8)
-    kinds[inter] = INTERIOR
-
-    hole_ids = []
-    bys, bxs = np.nonzero(bnd)
-    regions = nbrs[:, bys, bxs]
-    labels = np.zeros(len(bys), dtype=int)
-    for i in range(len(bys)):
-        regs = set(regions[:, i][regions[:, i] > 0])
-        if len(regs) > 1:
-            raise GridError(
-                "ambiguous boundary labeling: node touches several exterior "
-                "regions (wall too thin or nested holes)"
-            )
-        r = regs.pop()
-        if r == unbounded:
-            labels[i] = 0
-        else:
-            if r not in hole_ids:
-                hole_ids.append(r)
-            labels[i] = 1 + hole_ids.index(r)
-    kinds[bys, bxs] = BOUNDARY_BASE + labels.astype(np.uint8)
+    region = nbrs.max(axis=0)[bnd]  # in raster order; every one is > 0
+    holes, first = np.unique(region[region != unbounded], return_index=True)
+    # component label of each exterior region; the unbounded one keeps 0
+    label = np.zeros(int(nbrs.max(initial=0)) + 1, dtype=np.uint8)
+    label[holes[np.argsort(first)]] = np.arange(1, len(holes) + 1)
+    kinds[bnd] = BOUNDARY_BASE + label[region]
     return GridDomain(kinds, h, origin=origin)
 
 

@@ -25,7 +25,6 @@ class HarmonicBasis:
         self.p = p
         self.q = q
         self.system = CondensedSystem.of(domain)
-        self._cache = {}
 
     @property
     def n(self) -> int:

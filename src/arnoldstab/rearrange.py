@@ -22,15 +22,19 @@ from .errors import GridError
 from .functionals import GFunc, LegendrePair, _Sample, energy
 
 
+# slack of the dominance chain EC <= Dhat <= D, relative to the scale of EC
+_CHAIN_REL_TOL = 1e-6
+
+
 @dataclass
 class RearrangementSample:
-    """A rearranged field with its provenance and distance to the source."""
+    """A rearranged field with its provenance and discrete L2 distance to the
+    source."""
 
     w: g.ScalarField
     distance_lp: float
     swap_count: int
     seed: int
-    p: float = 2.0
 
 
 @dataclass
@@ -62,7 +66,7 @@ def _cell(c):
     return str(c)
 
 
-def random_swaps(omega_bar: g.ScalarField, k: int, seed: int, p: float = 2.0) -> RearrangementSample:
+def random_swaps(omega_bar: g.ScalarField, k: int, seed: int) -> RearrangementSample:
     """k uniformly random transpositions of the interior cell values."""
     if k < 0:
         raise GridError("swap count must be nonnegative")
@@ -76,18 +80,17 @@ def random_swaps(omega_bar: g.ScalarField, k: int, seed: int, p: float = 2.0) ->
         a, bnd = ii[i], ii[j]
         vals[a], vals[bnd] = vals[bnd], vals[a]
     w = g.ScalarField(dom, vals)
-    dist = g.lp_norm(w - omega_bar, p)
-    return RearrangementSample(w, dist, int(k), int(seed), p)
+    dist = g.lp_norm(w - omega_bar)
+    return RearrangementSample(w, dist, int(k), int(seed))
 
 
 def swaps_within_radius(
     omega_bar: g.ScalarField,
     radius: float,
     seed: int,
-    p: float = 2.0,
     max_swaps: int | None = None,
 ) -> RearrangementSample:
-    """Random transpositions accepted while the Lp distance stays below radius.
+    """Random transpositions accepted while the L2 distance stays below radius.
 
     Distance is tracked incrementally; the walk stops after a run of rejected
     proposals or at max_swaps.
@@ -107,9 +110,9 @@ def swaps_within_radius(
     while swaps < max_swaps and rejected < 32:
         i, j = rng.integers(0, n, size=2)
         a, bnd = ii[i], ii[j]
-        old = (abs(vals[a] - base[a]) ** p + abs(vals[bnd] - base[bnd]) ** p) * h2
-        new = (abs(vals[bnd] - base[a]) ** p + abs(vals[a] - base[bnd]) ** p) * h2
-        if (dist_p - old + new) ** (1.0 / p) < radius:
+        old = (abs(vals[a] - base[a]) ** 2.0 + abs(vals[bnd] - base[bnd]) ** 2.0) * h2
+        new = (abs(vals[bnd] - base[a]) ** 2.0 + abs(vals[a] - base[bnd]) ** 2.0) * h2
+        if (dist_p - old + new) ** 0.5 < radius:
             vals[a], vals[bnd] = vals[bnd], vals[a]
             dist_p = dist_p - old + new
             swaps += 1
@@ -117,7 +120,7 @@ def swaps_within_radius(
         else:
             rejected += 1
     w = g.ScalarField(dom, vals)
-    return RearrangementSample(w, g.lp_norm(w - omega_bar, p), swaps, int(seed), p)
+    return RearrangementSample(w, g.lp_norm(w - omega_bar), swaps, int(seed))
 
 
 def hl_coupling(v0, w_tilde: g.ScalarField) -> g.ScalarField:
@@ -173,25 +176,22 @@ def local_max_probe(
     radius: float,
     n_samples: int,
     seed: int,
-    tol_factor: float = 1e-8,
-    p: float = 2.0,
-    exhaustive: bool | None = None,
 ) -> ProbeReport:
     """Energy comparison over rearrangements near the steady vorticity.
 
-    Reports every sample with E(w, a) > E(steady) + tol as a violation; a
-    certified stable state should produce none for small radii.  On tiny
-    grids (at most 8 interior cells, or on request) all transpositions are
-    enumerated instead of sampling.
+    Reports every sample with E(w, a) > E(steady) + tol, tol = 1e-8 max(1,
+    |E(steady)|), as a violation; a certified stable state should produce
+    none for small radii.  On tiny grids (at most 8 interior cells) all
+    transpositions are enumerated instead of sampling, and radius and
+    n_samples are unused.
     """
     if not state.certified:
         raise GridError("probe requires a certified steady state")
     dom = basis.domain
     wbar = state.omega_bar
     e0 = energy(basis, wbar, state.a)
-    tol = tol_factor * max(1.0, abs(e0))
-    if exhaustive is None:
-        exhaustive = dom.n_interior <= 8
+    tol = 1e-8 * max(1.0, abs(e0))
+    exhaustive = dom.n_interior <= 8
 
     columns = ("seed", "swap_count", "distance", "energy", "delta_e", "violation")
     rows = []
@@ -204,7 +204,7 @@ def local_max_probe(
             vals = wbar.values.copy()
             vals[ii[i]], vals[ii[j]] = vals[ii[j]], vals[ii[i]]
             w = g.ScalarField(dom, vals)
-            dist = g.lp_norm(w - wbar, p)
+            dist = g.lp_norm(w - wbar)
             e = energy(basis, w, state.a)
             de = e - e0
             bad = de > tol and dist > 0
@@ -215,7 +215,7 @@ def local_max_probe(
             rows.append((seed, 1, dist, e, de, bad))
     else:
         for t in range(n_samples):
-            smp = swaps_within_radius(wbar, radius, seed + t, p)
+            smp = swaps_within_radius(wbar, radius, seed + t)
             e = energy(basis, smp.w, state.a)
             de = e - e0
             bad = de > tol and smp.distance_lp > 0
@@ -244,19 +244,18 @@ def supporting_probe(
     n_samples: int,
     seed: int,
     lp: LegendrePair,
-    rel_tol: float = 1e-6,
-    mu_tol: float = 1e-8,
 ) -> ProbeReport:
     """Dominance chain check EC <= Dhat <= D on sampled rearrangements, with
-    equality of all three at the steady vorticity and the shift equation
-    residual verified for every sample."""
+    equality of all three at the steady vorticity, each to _CHAIN_REL_TOL
+    times max(1, |EC(steady)|); the shift equation residual is reported for
+    every sample."""
     if not gf.has_linear_tails:
         raise GridError("profile must be extended for the supporting functionals")
     wbar = state.omega_bar
     # one record per sample, so one stream solve; the t = 0 sample is the
     # steady vorticity itself, whose record also gives the scale
     rec0 = _Sample(basis, wbar, state.a)
-    scale = max(1.0, abs(rec0.energy_casimir(lp)))
+    tol = _CHAIN_REL_TOL * max(1.0, abs(rec0.energy_casimir(lp)))
 
     columns = (
         "seed",
@@ -285,9 +284,9 @@ def supporting_probe(
         dval = rec.d(gf)
         dhat, mu = rec.d_hat(gf, state.mass)
         mu_res = rec.mu_residual(gf, mu, state.mass)
-        bad = (ec > dhat + rel_tol * scale) or (dhat > dval + rel_tol * scale)
+        bad = (ec > dhat + tol) or (dhat > dval + tol)
         if t == 0:
-            bad = bad or abs(ec - dval) > rel_tol * scale or abs(mu) > rel_tol
+            bad = bad or abs(ec - dval) > tol or abs(mu) > _CHAIN_REL_TOL
         violations += bad
         worst = max(worst, ec - dhat, dhat - dval)
         rows.append(
@@ -297,7 +296,7 @@ def supporting_probe(
         kind="supporting",
         seed=seed,
         n_samples=len(rows),
-        tol=rel_tol * scale,
+        tol=tol,
         violations=int(violations),
         max_excess=float(worst),
         clean_radius=float(max(r[2] for r in rows)),

@@ -220,11 +220,13 @@ def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
 
 
 def lambda_plain(basis, tol: float = 1e-8) -> SpectralResult:
-    """Smallest Rayleigh quotient of the Dirichlet energy (cached)."""
+    """Smallest Rayleigh quotient of the Dirichlet energy, cached with the
+    domain's other spectral data in `CondensedSystem.cache`."""
+    cache = basis.system.cache
     key = ("lambda_plain", tol)
-    if key not in basis._cache:
-        basis._cache[key] = lambda_c(basis, 0.0, tol)
-    return basis._cache[key]
+    if key not in cache:
+        cache[key] = lambda_c(basis, 0.0, tol)
+    return cache[key]
 
 
 def lambda_big(basis, tol: float = 1e-8) -> SpectralResult:

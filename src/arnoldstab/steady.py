@@ -20,6 +20,11 @@ from .field import certificate, stream_solve
 from .functionals import GFunc
 
 
+# largest certificate residual, relative to max(1, max |omega|), of a
+# certified steady state
+_CERT_TOL = 1e-8
+
+
 @dataclass
 class SteadyState:
     """Certified steady flow: stream, vorticity, circulations, profile."""
@@ -53,10 +58,10 @@ class SteadyState:
         return ",".join(cells)
 
 
-def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations, cert_tol):
+def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations):
     residual, flux_errors = certificate(psi, omega, av)
     scale = max(1.0, float(np.abs(omega.values).max(initial=0.0)))
-    certified = residual <= cert_tol * scale
+    certified = residual <= _CERT_TOL * scale
     return SteadyState(
         psi_bar=psi,
         omega_bar=omega,
@@ -72,7 +77,7 @@ def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations, cert_
     )
 
 
-def steady_linear(basis, kappa: float, a, cert_tol: float = 1e-8) -> SteadyState:
+def steady_linear(basis, kappa: float, a) -> SteadyState:
     """Steady state with the linear profile g(s) = kappa s.
 
     Solves the shifted condensed system (Dirichlet form minus kappa times the
@@ -82,8 +87,9 @@ def steady_linear(basis, kappa: float, a, cert_tol: float = 1e-8) -> SteadyState
     system is singular exactly when kappa is an eigenvalue of the condensed
     operator; kappa resonant with the lowest one, the constrained ground
     value lambda, is rejected, and every other kappa is left to the
-    a-posteriori certificate, which raises `ConvergenceError` also for a
-    MINRES run that stopped at its iteration cap.
+    a-posteriori certificate (residual at most _CERT_TOL relative to
+    max(1, max |omega|)), which raises `ConvergenceError` also for a MINRES
+    run that stopped at its iteration cap.
     """
     dom = basis.domain
     av = g.as_circulation(a, dom)
@@ -103,7 +109,7 @@ def steady_linear(basis, kappa: float, a, cert_tol: float = 1e-8) -> SteadyState
     theta = z[sys.n_int :] if sys.n else np.zeros(0)
     psi = g.ScalarField(dom, sys.embed(u, theta))
     omega = g.ScalarField(dom, kappa * psi.values)
-    state = _certify(psi, omega, av, GFunc.linear(kappa), 1, cert_tol)
+    state = _certify(psi, omega, av, GFunc.linear(kappa), 1)
     if not state.certified:
         raise ConvergenceError(
             "steady linear residual %.3e above certification tolerance"
@@ -120,13 +126,13 @@ def steady_picard(
     max_iter: int = 200,
     tol: float = 1e-10,
     damping: float = 0.5,
-    cert_tol: float = 1e-8,
 ) -> SteadyState:
     """Damped fixed-point iteration psi <- (1-b) psi + b stream(g(psi), a).
 
     Converges for increasing profiles with slope safely below the constrained
-    ground value.  If the iteration cap is hit, the best iterate is returned
-    flagged non-certified rather than raising.
+    ground value.  The iterate is certified as in `steady_linear`.  If the
+    iteration cap is hit, or the certificate fails, the last iterate is
+    returned flagged non-certified rather than raising.
     """
     dom = basis.domain
     av = g.as_circulation(a, dom)
@@ -154,7 +160,7 @@ def steady_picard(
             break
 
     omega = g.ScalarField(dom, np.asarray(gf(psi.values), dtype=float))
-    state = _certify(psi, omega, av, gf, it, cert_tol)
+    state = _certify(psi, omega, av, gf, it)
     if not converged:
         state.certified = False
     return state

@@ -11,10 +11,13 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _read_csv(path):
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+    try:
+        with open(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc))
     cols = {}
     for i, name in enumerate(header):
         vals = []

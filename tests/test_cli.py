@@ -244,3 +244,115 @@ def test_picard_tolerance_follows_tol_flag(tmp_path, monkeypatch):
             with pytest.raises(_Stop):
                 run_cli(cmd[0], *BASE, *profile, *flag, *cmd[1:])
             assert seen == [tol], cmd[0]
+
+
+def _exit_code(*argv):
+    """Exit status of a run, whether main returns it or the parser exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "--g", "affine:1.0"],
+        ["steady", "--g", "linear:abc"],
+        ["steady", "--g", "table:missing.csv"],
+        ["steady", "--kappa", "1.0", "--a", "1,x"],
+        ["simulate", "--kappa", "1.0", "--turnovers", "0.05", "--perturb", "bump:abc"],
+        ["verify-all", "--criteria", "1,x"],
+        ["stream", "--omega-const", "abc"],
+    ],
+    ids=["affine", "linear", "table", "a", "perturb", "criteria", "omega-const"],
+)
+def test_malformed_value_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # table:missing.csv is looked up here
+    assert _exit_code(*argv[:1], *BASE, *argv[1:], "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [None, ""], ids=["missing", "empty"])
+def test_report_unreadable_csv_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli("report", "--csv", str(path)) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def _capture(monkeypatch, command):
+    """Replace a subcommand's handler by one that records its arguments."""
+    seen = {}
+
+    def handler(args):
+        seen.update(vars(args))
+        return []
+
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), handler)
+    return seen
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_values_reach_handler(tmp_path, monkeypatch):
+    out = str(tmp_path / "o")
+    seen = _capture(monkeypatch, "probe")
+    cfg = _config(tmp_path, "samples = 7\nradius_frac = 0.5\n")
+    assert run_cli("--config", cfg, "probe", "--out", out) == 0
+    assert (seen["samples"], seen["radius_frac"]) == (7, 0.5)
+
+    seen = _capture(monkeypatch, "simulate")
+    cfg = _config(tmp_path, "cadence = 2\ncfl = 0.3\nsnap-every = 3\na = 0.5,0.25\n")
+    assert run_cli("--config", cfg, "simulate", "--out", out) == 0
+    assert (seen["cadence"], seen["cfl"], seen["snap_every"]) == (2, 0.3, 3)
+    assert seen["a"] == (0.5, 0.25)
+
+    seen = _capture(monkeypatch, "report")
+    cfg = _config(tmp_path, "csv = s.csv\nx = t\nys = energy,kinetic\nsvg = e.svg\n")
+    assert run_cli("--config", cfg, "report", "--out", out) == 0
+    assert [seen[k] for k in ("csv", "x", "ys", "svg")] == ["s.csv", "t", "energy,kinetic", "e.svg"]
+
+
+def test_explicit_flag_beats_config(tmp_path, monkeypatch):
+    seen = _capture(monkeypatch, "simulate")
+    cfg = _config(tmp_path, "cadence = 2\nsnap_every = 2\ncfl = 0.3\n")
+    code = run_cli(
+        "--config", cfg, "simulate", "--cadence", "8", "--snap-every", "0",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    # flags equal to the built-in defaults still win; the rest comes from the file
+    assert (seen["cadence"], seen["snap_every"], seen["cfl"]) == (8, 0, 0.3)
+
+
+@pytest.mark.parametrize("text, value", [("0", False), ("1", True), ("false", False)])
+def test_config_switch_is_boolean(text, value, tmp_path, monkeypatch):
+    seen = _capture(monkeypatch, "verify-all")
+    cfg = _config(tmp_path, "quick = %s\n" % text)
+    assert run_cli("--config", cfg, "verify-all", "--out", str(tmp_path / "o")) == 0
+    assert seen["quick"] is value
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", "bins = 16\n"),  # no such option
+        ("gen", "samples = 7\n"),  # an option of another subcommand
+        ("probe", "samples = x\n"),
+        ("verify-all", "quick = maybe\n"),
+        ("gen", "domain = disk\n"),
+    ],
+)
+def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatch, capsys):
+    _capture(monkeypatch, command)
+    cfg = _config(tmp_path, text)
+    assert run_cli("--config", cfg, command, "--out", str(tmp_path / "o")) == 2
+    assert "config error:" in capsys.readouterr().err

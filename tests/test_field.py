@@ -424,7 +424,7 @@ def test_stream_certificate_matches_steady_certify(basis32, stable_state32):
 
     st = stable_state32
     sol = field.stream_solve(basis32, st.omega_bar, st.a)
-    ref = steady._certify(sol.psi, sol.omega, sol.a, st.g, 1, 1e-8)
+    ref = steady._certify(sol.psi, sol.omega, sol.a, st.g, 1)
     assert sol.residual == ref.residual_pde
     assert np.array_equal(sol.flux_errors, ref.flux_errors)
 

@@ -234,6 +234,55 @@ def test_mask_pgm_malformed(tmp_path):
             grid.mask_from_pgm(path)
 
 
+def _loop_kinds(mask):
+    """Reference labeling, one boundary node at a time: each takes the
+    label of the one exterior region it touches, 0 for the unbounded region
+    and the holes numbered by first appearance in raster order."""
+    padm = np.pad(mask, 1, constant_values=False)
+    bnd = mask & (~padm[1:-1, :-2] | ~padm[1:-1, 2:] | ~padm[:-2, 1:-1] | ~padm[2:, 1:-1])
+    nbrs, _, unbounded = grid.exterior_regions(~mask)
+    kinds = np.where(mask, grid.INTERIOR, grid.EXTERIOR).astype(np.uint8)
+    hole_ids = []
+    for y, x in zip(*np.nonzero(bnd)):
+        (r,) = set(nbrs[:, y, x][nbrs[:, y, x] > 0].tolist())
+        if r == unbounded:
+            kinds[y, x] = grid.BOUNDARY_BASE
+            continue
+        if r not in hole_ids:
+            hole_ids.append(r)
+        kinds[y, x] = grid.BOUNDARY_BASE + 1 + hole_ids.index(r)
+    return kinds
+
+
+def _seeded_two_hole_mask(seed):
+    rng = np.random.default_rng(seed)
+    mask = np.ones((64, 128), dtype=bool)
+    for y, x in ((34, 10), (18, 90)):
+        dy, dx = rng.integers(-6, 7, size=2)
+        mask[y + dy : y + dy + 20, x + dx : x + dx + 20] = False
+    return mask
+
+
+def _test_masks():
+    one = np.ones((24, 24), dtype=bool)
+    one[9:14, 9:14] = False
+    two = np.ones((24, 40), dtype=bool)
+    two[9:14, 8:13] = False
+    two[9:14, 26:31] = False
+    # the right hole reaches higher, so it is met first in raster order
+    stagger = np.ones((20, 34), dtype=bool)
+    stagger[9:13, 6:10] = False
+    stagger[5:12, 22:26] = False
+    return [one, two, stagger] + [_seeded_two_hole_mask(seed) for seed in (7, 8, 9)]
+
+
+def test_label_components_matches_node_loop():
+    for mask in _test_masks():
+        dom = grid.label_components(mask)
+        assert np.array_equal(dom.kinds, _loop_kinds(mask))
+    assert dom.n_components == 3
+
+
 def test_label_components_thin_wall_ambiguous():
     # two holes separated by a single-node wall: labeling must be rejected
     mask = np.ones((16, 25), dtype=bool)

@@ -3,13 +3,22 @@ import math
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from arnoldstab import field, grid, oracle, spectra, steady
+from arnoldstab import field, grid, harmonic, oracle, spectra, steady
 
 
 def test_lambda_matches_radial_oracle(basis32, radial):
     lam = spectra.lambda_plain(basis32)
     lam_o = oracle.radial_eigen(radial, "lambda_Y")
     assert abs(lam.value / lam_o - 1.0) <= 0.01
+
+
+def test_lambda_plain_cached_per_domain():
+    dom = grid.build_annulus(1.0, 2.0, 16)
+    first = spectra.lambda_plain(harmonic.solve_basis(dom))
+    again = harmonic.solve_basis(dom)  # a new basis on the same domain
+    assert again.system.cache[("lambda_plain", 1e-8)] is first
+    assert spectra.lambda_plain(again) is first
+    assert spectra.lambda_plain(again, 1e-9) is not first
 
 
 def test_minimizer_normalized_and_flux_free(basis32):
