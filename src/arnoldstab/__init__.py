@@ -50,7 +50,7 @@ from .spectra import (  # noqa: F401
     lambda_plain,
     weak_pos_def,
 )
-from .steady import SteadyState, steady_linear, steady_picard  # noqa: F401
+from .steady import SteadyState, steady_linear, steady_newton  # noqa: F401
 from .rearrange import (  # noqa: F401
     ProbeReport,
     RearrangementSample,

@@ -329,7 +329,7 @@ def criterion_7(ctx):
     tb = harmonic.solve_basis(tiny)
     lam_t = spectra.lambda_plain(tb).value
     gkt = functionals.GFunc.affine(0.3 * lam_t, 1.0)
-    st_t = steady.steady_picard(tb, gkt, np.zeros(0))
+    st_t = steady.steady_newton(tb, gkt, np.zeros(0))
     rep_t = rearrange.local_max_probe(tb, st_t, 0.0, 0, ctx.seed)  # 8 cells: exhaustive
     e_scale = abs(functionals.energy(tb, st_t.omega_bar, st_t.a))
     ok = (

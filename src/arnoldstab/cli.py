@@ -113,13 +113,24 @@ def _read_input(reader, path, **kwargs):
 
 
 def _build_domain(args):
-    if args.domain == "annulus":
-        return grid.build_annulus(args.rin, args.rout, args.res)
-    if not args.mask_file:
+    if args.domain == "mask" and not args.mask_file:
         raise ConfigError("--domain mask requires --mask-file")
-    reader = grid.mask_from_pgm if args.mask_file.endswith(".pgm") else grid.mask_from_rle
-    mask = _read_input(reader, args.mask_file)
-    return grid.label_components(mask, h=1.0 / args.res)
+    try:
+        if args.domain == "annulus":
+            return grid.build_annulus(args.rin, args.rout, args.res)
+        reader = grid.mask_from_pgm if args.mask_file.endswith(".pgm") else grid.mask_from_rle
+        mask = _read_input(reader, args.mask_file)
+        return grid.label_components(mask, h=1.0 / args.res)
+    except GridError as exc:
+        raise ConfigError("bad domain: %s" % exc)
+
+
+def _circulations(args, dom):
+    """--a as the circulation vector of dom."""
+    try:
+        return grid.as_circulation(args.a, dom)
+    except GridError as exc:
+        raise ConfigError("bad --a: %s" % exc)
 
 
 def _parse_g(args):
@@ -220,7 +231,7 @@ def _cmd_stream(args):
     basis = _basis(args)
     dom = basis.domain
     omega = _load_omega(args, dom)
-    a = args.a
+    a = _circulations(args, dom)
     sol = field.stream_solve(basis, omega, a)
     vel = field.velocity(sol.psi)
     grid.write_field(os.path.join(out, "psi.sfld"), sol.psi)
@@ -241,7 +252,7 @@ def _cmd_functional(args):
     basis = _basis(args)
     dom = basis.domain
     omega = _load_omega(args, dom)
-    a = args.a
+    a = _circulations(args, dom)
     gf = _parse_g(args)
     gext = _extended(gf, omega, basis, a)
     lp = functionals.legendre(gext)
@@ -323,11 +334,12 @@ def _cmd_steady(args):
 def _make_steady(args, basis, gf=None):
     """Steady state of the profile gf (default: --g or --kappa) with the
     circulations --a: linear profiles by `steady_linear`, the others by
-    `steady_picard` to the tolerance --tol."""
+    `steady_newton`."""
     gf = _parse_g(args) if gf is None else gf
+    a = _circulations(args, basis.domain)
     if gf.kind == "linear":
-        return steady.steady_linear(basis, gf.slope, args.a)
-    return steady.steady_picard(basis, gf, args.a, tol=args.tol)
+        return steady.steady_linear(basis, gf.slope, a)
+    return steady.steady_newton(basis, gf, a)
 
 
 def _cmd_probe(args):
@@ -361,12 +373,11 @@ def _cmd_simulate(args):
     st = _make_steady(args, basis)
     mode, _, amp = args.perturb.partition(":")
     try:
-        amplitude = float(amp or 0.0)
-    except ValueError:
-        raise ConfigError("bad perturbation %r: amplitude is not a number" % args.perturb)
-    spec = dynamics.PerturbationSpec(
-        mode=mode or "none", amplitude=amplitude, seed=args.seed, b_offset=args.b_offset
-    )
+        spec = dynamics.PerturbationSpec(
+            mode=mode or "none", amplitude=float(amp or 0.0), seed=args.seed, b_offset=args.b_offset
+        )
+    except ValueError as exc:  # a GridError is one too
+        raise ConfigError("bad perturbation %r: %s" % (args.perturb, exc))
     omega0, b = dynamics.perturb(st, spec)
     t_final = args.t_final
     if t_final is None:
@@ -459,7 +470,9 @@ def build_parser():
         )
         sp.add_argument("--b-offset", dest="b_offset", type=float, default=0.0)
         sp.add_argument("--seed", type=int, default=20240801)
-        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument(
+            "--tol", type=float, default=1e-10, help="harmonic basis residual bound, times h^2"
+        )
         sp.add_argument("--out", default="out")
 
     for name, fn in [

@@ -44,6 +44,10 @@ class PerturbationSpec:
     seed: int = 0
     b_offset: float = 0.0
 
+    def __post_init__(self):
+        if self.mode not in ("swap", "bump", "none"):
+            raise GridError("unknown perturbation mode %r" % self.mode)
+
 
 # steps `run` may take before it gives up on reaching t_final
 _MAX_STEPS = 2_000_000
@@ -477,8 +481,6 @@ def perturb(state, spec: PerturbationSpec):
     """
     dom = state.psi_bar.domain
     b = state.a + spec.b_offset
-    if spec.mode not in ("swap", "bump", "none"):
-        raise GridError("unknown perturbation mode %r" % spec.mode)
     if spec.mode == "none" or spec.amplitude == 0.0:
         return state.omega_bar.copy(), b
     if spec.mode == "swap":

@@ -7,10 +7,10 @@ matrix is exactly the discrete Dirichlet form on this space, hence symmetric
 positive definite; it is assembled and factorized once per domain, and that
 factorization is the only one a domain keeps.  The harmonic basis, the
 stream solves and the eigenproblems with a constant potential reuse it, and
-a steady solve runs MINRES preconditioned by it
-(`CondensedSystem.solve_shifted`); only an eigenproblem with a nonconstant
-potential factorizes a copy with a nonnegative diagonal shift
-(`CondensedSystem.shifted_lu`).
+every Newton step of a steady solve runs MINRES preconditioned by it on the
+matrix with a diagonal shift (`CondensedSystem.solve_shifted`); only an
+eigenproblem with a nonconstant potential factorizes a copy with a
+nonnegative diagonal shift (`CondensedSystem.shifted_lu`).
 
 Built on it:
 
@@ -37,7 +37,7 @@ from .errors import GridError, SolverError
 _FOUR_STRUCT = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-# MINRES iteration cap of a steady solve; at res 32-128 a solve converges
+# MINRES iteration cap of a shifted solve; at res 32-128 a solve converges
 # within 9-16 preconditioner solves
 _MINRES_CAP = 100
 
@@ -140,27 +140,25 @@ class CondensedSystem:
         shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
         return _factor(self.K + shift, "shifted condensed system")
 
-    def solve_shifted(self, s, rhs):
-        """z with (K - s diag(1_int, 0)) z = rhs, for any s that is not h^2
-        times an eigenvalue of the condensed operator.
+    def solve_shifted(self, d, rhs):
+        """z with (K - diag(d, 0)) z = rhs, for an interior diagonal d (a
+        scalar broadcasts) that keeps the matrix nonsingular.
 
-        s = 0 is one solve with the cached factorization of K.  Otherwise
+        d = 0 is one solve with the cached factorization of K.  Otherwise
         MINRES (Paige & Saunders 1975) runs on the symmetric, possibly
         indefinite, shifted matrix, preconditioned by that factorization:
-        the preconditioned spectrum is 1 - s / (h^2 mu) over the condensed
-        eigenvalues mu, and 1 on the border, so away from resonance a few
-        iterations reach working precision.  A run that stops at
-        `_MINRES_CAP` returns its last iterate; the caller's certificate
-        judges it.
+        for a scalar d = s the preconditioned spectrum is 1 - s / (h^2 mu)
+        over the condensed eigenvalues mu, and 1 on the border, so away from
+        resonance a few iterations reach working precision.  A run stopped
+        by `_MINRES_CAP` returns its last iterate for the caller to judge.
         """
-        if s == 0.0:
+        d = np.broadcast_to(np.asarray(d, dtype=float), (self.n_int,))
+        if not d.any():
             return self._lu_K.solve(rhs)
         n = self.K.shape[0]
-        d = np.zeros(n)
-        d[: self.n_int] = s
-        shifted = self.K - sparse.diags(d, format="csc")
+        shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
         precond = LinearOperator((n, n), matvec=self._lu_K.solve, dtype=float)
-        z, _ = minres(shifted, rhs, M=precond, rtol=0.0, maxiter=_MINRES_CAP)
+        z, _ = minres(self.K - shift, rhs, M=precond, rtol=0.0, maxiter=_MINRES_CAP)
         return z
 
     def solve_stream(self, omega_int, a):

@@ -461,8 +461,8 @@ def build_annulus(r_in: float, r_out: float, n_cells_per_unit: int) -> GridDomai
     """
     r_in = float(r_in)
     r_out = float(r_out)
-    if not (0.0 < r_in < r_out):
-        raise GridError("need 0 < r_in < r_out (got %g, %g)" % (r_in, r_out))
+    if not (0.0 < r_in < r_out < math.inf):
+        raise GridError("need 0 < r_in < r_out < inf (got %g, %g)" % (r_in, r_out))
     n = int(n_cells_per_unit)
     if n <= 0:
         raise GridError("n_cells_per_unit must be positive")
@@ -475,6 +475,8 @@ def build_annulus(r_in: float, r_out: float, n_cells_per_unit: int) -> GridDomai
         )
 
     half = int(math.ceil((r_out + h) / h)) + 1
+    if (2 * half + 1) ** 2 > _RLE_MAX_NODES:
+        raise GridError("annulus grid of %d^2 nodes is above the limit" % (2 * half + 1))
     coords = (np.arange(2 * half + 1) - half) * h
     x0 = coords[0]
     X, Y = np.meshgrid(coords, coords)  # X varies along axis 1
@@ -622,8 +624,8 @@ def read_field(path, domain: GridDomain | None = None) -> ScalarField:
     return ScalarField(dom, values)
 
 
-# largest mask a run-length file may declare: 4096 x 4096 nodes, 16 MB as
-# a boolean grid; the header alone must not make np.repeat allocate more
+# largest grid of a domain: 4096 x 4096 nodes, 16 MB as a boolean grid; an
+# annulus resolution or a mask file header must not make it allocate more
 _RLE_MAX_NODES = 1 << 24
 
 

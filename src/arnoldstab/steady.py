@@ -15,14 +15,17 @@ import numpy as np
 
 from . import grid as g
 from . import spectra
-from .errors import ConvergenceError, GridError, SolverError
-from .field import certificate, stream_solve
+from .errors import ConvergenceError, SolverError
+from .field import certificate
 from .functionals import GFunc
 
 
 # largest certificate residual, relative to max(1, max |omega|), of a
 # certified steady state
 _CERT_TOL = 1e-8
+
+# Newton steps a steady solve may take after its first solve
+_NEWTON_CAP = 20
 
 
 @dataclass
@@ -77,39 +80,49 @@ def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations):
     )
 
 
-def steady_linear(basis, kappa: float, a) -> SteadyState:
-    """Steady state with the linear profile g(s) = kappa s.
-
-    Solves the shifted condensed system (Dirichlet form minus kappa times the
-    interior mass) with the circulation data, by MINRES preconditioned with
-    the domain's one factorization (`CondensedSystem.solve_shifted`): no
-    matrix is factorized here.  The border block is invertible, so the
-    system is singular exactly when kappa is an eigenvalue of the condensed
-    operator; kappa resonant with the lowest one, the constrained ground
-    value lambda, is rejected, and every other kappa is left to the
-    a-posteriori certificate (residual at most _CERT_TOL relative to
-    max(1, max |omega|)), which raises `ConvergenceError` also for a MINRES
-    run that stopped at its iteration cap.
-    """
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    kappa = float(kappa)
+def _newton(basis, gf: GFunc, av, z) -> SteadyState:
+    """Newton iteration for F(z) = K z - (h^2 g(u), -a) = 0 from z, the
+    result of one solve.  It returns the first iterate that certifies, and
+    otherwise steps by J dz = -F, J = K - h^2 diag(g'(u), 0), with
+    `CondensedSystem.solve_shifted`.  It stops uncertified when the
+    certificate residual fails to halve or after `_NEWTON_CAP` steps.
+    `iterations` counts the shifted solves."""
     sys = basis.system
+    solves, previous = 1, np.inf
+    while True:
+        psi = g.ScalarField(basis.domain, sys.embed(z[: sys.n_int], z[sys.n_int :]))
+        omega = g.ScalarField(basis.domain, np.asarray(gf(psi.values), dtype=float))
+        state = _certify(psi, omega, av, gf, solves)
+        if state.certified or state.residual_pde > 0.5 * previous or solves > _NEWTON_CAP:
+            return state
+        previous = state.residual_pde
+        F = sys.K @ z - np.concatenate([sys.h2 * omega.values[sys.int_ids], -av])
+        z = z + sys.solve_shifted(sys.h2 * gf.deriv(z[: sys.n_int]), -F)
+        solves += 1
 
-    guard = 1e-6
+
+def _linear_solve(basis, kappa: float, av):
+    """One solve of the shifted condensed system of g(s) = kappa s; kappa
+    resonant with the constrained ground value lambda raises `SolverError`."""
+    sys = basis.system
     lam = spectra.lambda_plain(basis).value
-    if abs(kappa - lam) <= guard * max(1.0, abs(lam)):
-        raise SolverError(
-            "kappa = %g is resonant with the constrained eigenvalue %g" % (kappa, lam)
-        )
+    if abs(kappa - lam) <= 1e-6 * max(1.0, abs(lam)):
+        raise SolverError("kappa = %g is resonant with lambda = %g" % (kappa, lam))
+    return sys.solve_shifted(kappa * sys.h2, np.concatenate([np.zeros(sys.n_int), -av]))
 
-    rhs = np.concatenate([np.zeros(sys.n_int), -av])
-    z = sys.solve_shifted(kappa * sys.h2, rhs)
-    u = z[: sys.n_int]
-    theta = z[sys.n_int :] if sys.n else np.zeros(0)
-    psi = g.ScalarField(dom, sys.embed(u, theta))
-    omega = g.ScalarField(dom, kappa * psi.values)
-    state = _certify(psi, omega, av, GFunc.linear(kappa), 1)
+
+def steady_linear(basis, kappa: float, a) -> SteadyState:
+    """Steady state with the linear profile g(s) = kappa s: `_newton` from
+    one solve of the shifted condensed system (Dirichlet form minus kappa
+    times the interior mass), which is singular exactly when kappa is an
+    eigenvalue of the condensed operator.  kappa resonant with the lowest
+    one, lambda, is rejected.  For a constant slope the Newton steps are
+    iterative refinement, and a first solve that certifies (residual at most
+    _CERT_TOL relative to max(1, max |omega|)) is returned as it is;
+    `ConvergenceError` is raised only if refinement ends uncertified."""
+    av = g.as_circulation(a, basis.domain)
+    kappa = float(kappa)
+    state = _newton(basis, GFunc.linear(kappa), av, _linear_solve(basis, kappa, av))
     if not state.certified:
         raise ConvergenceError(
             "steady linear residual %.3e above certification tolerance"
@@ -118,49 +131,18 @@ def steady_linear(basis, kappa: float, a) -> SteadyState:
     return state
 
 
-def steady_picard(
-    basis,
-    gf: GFunc,
-    a,
-    init: g.ScalarField | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-    damping: float = 0.5,
-) -> SteadyState:
-    """Damped fixed-point iteration psi <- (1-b) psi + b stream(g(psi), a).
-
-    Converges for increasing profiles with slope safely below the constrained
-    ground value.  The iterate is certified as in `steady_linear`.  If the
-    iteration cap is hit, or the certificate fails, the last iterate is
-    returned flagged non-certified rather than raising.
-    """
-    dom = basis.domain
-    av = g.as_circulation(a, dom)
-    if not 0.0 < damping <= 1.0:
-        raise GridError("damping must lie in (0, 1]")
-
-    if init is None:
-        try:
-            init = steady_linear(basis, gf.median_slope(), av).psi_bar
-        except SolverError:
-            const = g.ScalarField(dom, np.full(dom.n_nodes, float(gf(0.0))))
-            init = stream_solve(basis, const, av).psi
-
-    psi = init
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        omega = g.ScalarField(dom, np.asarray(gf(psi.values), dtype=float))
-        sol = stream_solve(basis, omega, av)
-        new = g.ScalarField(dom, (1.0 - damping) * psi.values + damping * sol.psi.values)
-        delta = float(np.abs(new.values - psi.values).max())
-        psi = new
-        if delta <= tol * max(1.0, float(np.abs(psi.values).max())):
-            converged = True
-            break
-
-    omega = g.ScalarField(dom, np.asarray(gf(psi.values), dtype=float))
-    state = _certify(psi, omega, av, gf, it)
-    if not converged:
-        state.certified = False
-    return state
+def steady_newton(basis, gf: GFunc, a) -> SteadyState:
+    """Steady state omega = g(psi) by `_newton`, from the linear state of the
+    median slope of g or, where that slope is resonant, from the flow of the
+    constant vorticity g(0).  Near a solution with a nonsingular Jacobian,
+    as for increasing profiles with slope safely below lambda, the residual
+    falls quadratically.  The result is certified as in `steady_linear`; one
+    that ends uncertified is returned flagged rather than raising."""
+    av = g.as_circulation(a, basis.domain)
+    sys = basis.system
+    try:
+        z = _linear_solve(basis, gf.median_slope(), av)
+    except SolverError:
+        rhs = np.concatenate([np.full(sys.n_int, sys.h2 * float(gf(0.0))), -av])
+        z = sys.solve_shifted(0.0, rhs)
+    return _newton(basis, gf, av, z)

@@ -218,18 +218,18 @@ class _Stop(Exception):
     pass
 
 
-def test_picard_tolerance_follows_tol_flag(tmp_path, monkeypatch):
-    """Every subcommand that builds a non-linear steady state hands --tol,
-    default 1e-10, to steady_picard."""
+def test_nonlinear_profiles_reach_steady_newton(tmp_path, monkeypatch):
+    """Every subcommand that builds a non-linear steady state builds it by
+    steady_newton, with the profile and circulations of its flags."""
     from arnoldstab import steady
 
     seen = []
 
-    def picard(basis, gf, a, **kwargs):
-        seen.append(kwargs.get("tol"))
+    def newton(basis, gf, a):
+        seen.append((gf.kind, gf.slope, gf.offset, list(a)))
         raise _Stop
 
-    monkeypatch.setattr(steady, "steady_picard", picard)
+    monkeypatch.setattr(steady, "steady_newton", newton)
     profile = ["--g", "affine:1.0,0.3", "--a", "1.0", "--out", str(tmp_path / "o")]
     commands = (
         ["steady"],
@@ -238,12 +238,11 @@ def test_picard_tolerance_follows_tol_flag(tmp_path, monkeypatch):
         ["simulate"],
         ["functional", "--functional", "H", "--omega-const", "0.5"],
     )
-    for flag, tol in ((["--tol", "1e-7"], 1e-7), ([], 1e-10)):
-        for cmd in commands:
-            seen.clear()
-            with pytest.raises(_Stop):
-                run_cli(cmd[0], *BASE, *profile, *flag, *cmd[1:])
-            assert seen == [tol], cmd[0]
+    for cmd in commands:
+        seen.clear()
+        with pytest.raises(_Stop):
+            run_cli(cmd[0], *BASE, *profile, *cmd[1:])
+        assert seen == [("affine", 1.0, 0.3, [1.0])], cmd[0]
 
 
 def _exit_code(*argv):
@@ -356,3 +355,39 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
     cfg = _config(tmp_path, text)
     assert run_cli("--config", cfg, command, "--out", str(tmp_path / "o")) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", *BASE, "--kappa", "1", "--a", "1,2"],
+        ["stream", *BASE, "--a", "1,2"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--perturb", "foo:1"],
+        ["gen", "--res", "0"],
+        ["gen", "--rin", "2", "--rout", "1"],
+        ["gen", "--rout", "inf"],
+        ["gen", "--res", "100000000"],
+    ],
+    ids=["a-length", "stream-a-length", "perturb-mode", "res-0", "radii", "rout-inf", "res-huge"],
+)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    """Input the grid or the circulation check rejects is a configuration
+    error (exit 2), not a solver error."""
+    assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "solver error:" not in err
+
+
+def test_grid_error_in_solve_exits_3(tmp_path, monkeypatch, capsys):
+    """A GridError raised inside a solve, not by a check of the input, stays
+    a solver error."""
+    from arnoldstab import steady
+    from arnoldstab.errors import GridError
+
+    def fail(*args):
+        raise GridError("broken labels")
+
+    monkeypatch.setattr(steady, "steady_linear", fail)
+    assert run_cli("steady", *BASE, "--kappa", "1", "--out", str(tmp_path / "o")) == 3
+    assert "solver error:" in capsys.readouterr().err

@@ -252,7 +252,7 @@ def test_stream_energy_casimir_sandwich(basis32, rng):
 
     knots = np.linspace(-3.0, 3.0, 61)
     g = fn.GFunc.tabulated(knots, 0.8 * knots + 0.2 * np.tanh(2 * knots))
-    st = steady.steady_picard(basis32, fn.extend_g(g, -3.0, 3.0), [1.0])
+    st = steady.steady_newton(basis32, fn.extend_g(g, -3.0, 3.0), [1.0])
     assert st.certified
     gext = fn.extend_g(st.g, st.psi_min - 1.0, st.psi_max + 1.0)
     lp = fn.legendre(gext)

@@ -217,6 +217,22 @@ def test_mask_rle_node_cap(tmp_path):
     assert grid.mask_from_rle(path).shape == (side, side)
 
 
+def test_annulus_node_cap():
+    """A resolution whose grid would exceed the node cap raises before the
+    grid is allocated (res 10^8 asks for 1.6e17 nodes), and so does a grid
+    just over the cap."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="above the limit"):
+            grid.build_annulus(1.0, 2.0, 100_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(GridError, match="above the limit"):
+        grid.build_annulus(1.0, 2.0, 1024)  # 4101^2 nodes, just over 2^24
+
+
 def test_mask_pgm(tmp_path):
     path = tmp_path / "mask.pgm"
     data = bytes([255] * 12 + [0] * 4 + [255] * 8)

@@ -144,7 +144,7 @@ def test_exhaustive_probe_tiny_grid():
     assert tiny.n_interior == 8
     tb = harmonic.solve_basis(tiny)
     lam_t = spectra.lambda_plain(tb).value
-    st = steady.steady_picard(tb, fn.GFunc.affine(0.3 * lam_t, 1.0), np.zeros(0))
+    st = steady.steady_newton(tb, fn.GFunc.affine(0.3 * lam_t, 1.0), np.zeros(0))
     assert st.certified
     rep = ra.local_max_probe(tb, st, 0.0, 0, 1)
     assert rep.n_samples == 28  # all transpositions of 8 cells

@@ -87,9 +87,9 @@ class _CountingLU:
         return self.lu.solve(b)
 
 
-def test_steady_linear_solves_with_K(monkeypatch):
-    """A res-32 steady state takes at most 30 solves with the cached
-    factorization of K, and factorizes nothing."""
+def _counting_factorizations(monkeypatch):
+    """The list that every later factorization is appended to, each as a
+    `_CountingLU`."""
     lus = []
     splu = field.splu
 
@@ -98,6 +98,13 @@ def test_steady_linear_solves_with_K(monkeypatch):
         return lus[-1]
 
     monkeypatch.setattr(field, "splu", counting_splu)
+    return lus
+
+
+def test_steady_linear_solves_with_K(monkeypatch):
+    """A res-32 steady state takes at most 30 solves with the cached
+    factorization of K, and factorizes nothing."""
+    lus = _counting_factorizations(monkeypatch)
     basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
     lam = spectra.lambda_plain(basis).value
     for frac in (0.5, 1.5):
@@ -108,50 +115,106 @@ def test_steady_linear_solves_with_K(monkeypatch):
 
 
 def test_steady_linear_minres_cap_goes_to_certificate(basis32, lam32, monkeypatch):
-    """A MINRES run stopped by its iteration cap is judged by the
-    certificate, which raises."""
+    """A MINRES run stopped by its iteration cap, with no Newton step to
+    refine it, is judged by the certificate, which raises."""
     monkeypatch.setattr(field, "_MINRES_CAP", 2)
+    monkeypatch.setattr(steady, "_NEWTON_CAP", 0)
     with pytest.raises(ConvergenceError):
         steady.steady_linear(basis32, 0.5 * lam32, [1.0])
 
 
-def test_steady_linear_certifies_at_res128():
+@pytest.fixture(scope="module")
+def basis128():
+    return harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 128))
+
+
+def test_steady_linear_certifies_at_res128(basis128):
     """The res-128 steady state at kappa = lambda / 2 meets the unchanged
     certificate (a direct solve of the shifted matrix left 1.5e-8)."""
-    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 128))
-    st = steady.steady_linear(basis, 0.5 * spectra.lambda_plain(basis).value, [1.0])
+    st = steady.steady_linear(basis128, 0.5 * spectra.lambda_plain(basis128).value, [1.0])
     assert st.certified
     assert st.residual_pde <= 1e-8 * max(1.0, float(np.abs(st.omega_bar.values).max()))
 
 
-def test_picard_agrees_with_linear(basis32, lam32, stable_state32):
-    gf = fn.GFunc.linear(0.5 * lam32)
-    # start away from the solution so the two routes are genuinely different
-    init = field.stream_solve(basis32, basis32.domain.zeros(), [1.0]).psi
-    st = steady.steady_picard(basis32, gf, [1.0], init=init, damping=0.5)
+def test_steady_linear_refinement_certifies_at_res128(basis128):
+    """At kappa = 0.3 lambda the first res-128 solve leaves 1.1e-8, above the
+    certificate; one refinement step brings it under."""
+    st = steady.steady_linear(basis128, 0.3 * spectra.lambda_plain(basis128).value, [1.0])
     assert st.certified
-    assert np.abs(st.psi_bar.values - stable_state32.psi_bar.values).max() <= 1e-6
+    assert st.iterations >= 2
 
 
-def test_picard_constant_profile_immediate(basis32):
+def _tanh_profile(lam):
+    """The 2001-knot table g = (lambda/2)(0.8 s + 0.2 tanh 2s)."""
+    knots = np.linspace(-3.0, 3.0, 2001)
+    return fn.GFunc.tabulated(knots, 0.5 * lam * (0.8 * knots + 0.2 * np.tanh(2 * knots)))
+
+
+def _picard(basis, gf, a, iterations=400, damping=0.5):
+    """Reference: damped fixed-point iteration psi <- (1-b) psi + b
+    stream(g(psi), a) from the flow of zero vorticity."""
+    dom = basis.domain
+    psi = field.stream_solve(basis, dom.zeros(), a).psi.values
+    for _ in range(iterations):
+        omega = grid.ScalarField(dom, gf(psi))
+        new = field.stream_solve(basis, omega, a).psi.values
+        psi = (1.0 - damping) * psi + damping * new
+    return psi
+
+
+def test_newton_agrees_with_picard(basis32, lam32, stable_state32):
+    gf = _tanh_profile(lam32)
+    st = steady.steady_newton(basis32, gf, [1.0])
+    assert st.certified
+    assert np.abs(st.psi_bar.values - _picard(basis32, gf, [1.0])).max() <= 1e-8
+    # a linear profile is the case that certifies at the first solve
+    lin = steady.steady_newton(basis32, fn.GFunc.linear(0.5 * lam32), [1.0])
+    assert lin.iterations == 1
+    assert np.array_equal(lin.psi_bar.values, stable_state32.psi_bar.values)
+
+
+def test_newton_constant_profile_immediate(basis32):
     gf = fn.GFunc.affine(0.0, 0.8)  # g == 0.8
-    st = steady.steady_picard(basis32, gf, [0.3], damping=1.0)
+    st = steady.steady_newton(basis32, gf, [0.3])
     ref = field.stream_solve(basis32, basis32.domain.constant(0.8), [0.3])
     assert st.certified
-    assert st.iterations <= 3
+    assert st.iterations <= 2
     assert np.abs(st.psi_bar.values - ref.psi.values).max() <= 1e-9
 
 
-def test_picard_affine_profile_certified(basis32, lam32):
+def test_newton_affine_profile_certified(basis32, lam32):
     gf = fn.GFunc.affine(0.3 * lam32, 0.2)
-    st = steady.steady_picard(basis32, gf, [1.0])
+    st = steady.steady_newton(basis32, gf, [1.0])
     assert st.certified
+    assert st.iterations <= 2  # one Newton step from the linear start
     assert st.residual_pde <= 1e-8
     assert abs(st.mass - grid.integrate(st.omega_bar)) == 0.0
+    assert np.abs(st.psi_bar.values - _picard(basis32, gf, [1.0])).max() <= 1e-8
 
 
-def test_picard_iteration_cap_flags_uncertified(basis32, lam32):
-    gf = fn.GFunc.linear(0.5 * lam32)
-    init = field.stream_solve(basis32, basis32.domain.zeros(), [1.0]).psi
-    st = steady.steady_picard(basis32, gf, [1.0], init=init, max_iter=2)
+def test_newton_cap_flags_uncertified(basis32, lam32, monkeypatch):
+    monkeypatch.setattr(steady, "_NEWTON_CAP", 0)
+    st = steady.steady_newton(basis32, _tanh_profile(lam32), [1.0])
     assert not st.certified
+    assert st.iterations == 1
+
+
+def test_newton_certifies_tanh_at_res128(basis128):
+    """The res-128 tanh state certifies; 81 damped fixed-point iterations
+    left it at 2.0e-8."""
+    st = steady.steady_newton(basis128, _tanh_profile(spectra.lambda_plain(basis128).value), [1.0])
+    assert st.certified
+    assert st.residual_pde <= 1e-8 * max(1.0, float(np.abs(st.omega_bar.values).max()))
+
+
+def test_newton_solves_with_K(monkeypatch):
+    """The res-32 tanh state factorizes nothing and takes at most 50 solves
+    with the cached factorization of K (the damped fixed-point iteration
+    took 90)."""
+    lus = _counting_factorizations(monkeypatch)
+    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
+    gf = _tanh_profile(spectra.lambda_plain(basis).value)
+    lus[0].solves = 0
+    assert steady.steady_newton(basis, gf, [1.0]).certified
+    assert len(lus) == 1
+    assert 0 < lus[0].solves <= 50
