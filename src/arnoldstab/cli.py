@@ -18,6 +18,7 @@ if _threads:
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -41,13 +42,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "config error: %s\n" % message)
 
 
+def _finite(text):
+    """argparse type: a finite float (NaN and infinities are refused)."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+
+
+def _positive(text):
+    """argparse type: a finite float above 0."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("expected a positive number, got %r" % text)
+    return value
+
+
 def _numbers(kind):
     """argparse type: comma-separated numbers of the given kind, as a tuple."""
 
     def parse(text):
         try:
             return tuple(kind(t) for t in text.split(",") if t.strip())
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 "expected comma-separated numbers, got %r" % text
             ) from None
@@ -383,13 +403,16 @@ def _cmd_simulate(args):
     if t_final is None:
         t_final = args.turnovers * dynamics.turnover_time(basis, st.omega_bar, st.a)
     gext = functionals.extend_g(st.g, st.psi_min, st.psi_max)
-    cfg = dynamics.SimConfig(
-        t_final=t_final,
-        cfl=args.cfl,
-        monitor_every=args.cadence,
-        reference=st.omega_bar,
-        legendre=functionals.legendre(gext),
-    )
+    try:
+        cfg = dynamics.SimConfig(
+            t_final=t_final,
+            cfl=args.cfl,
+            monitor_every=args.cadence,
+            reference=st.omega_bar,
+            legendre=functionals.legendre(gext),
+        )
+    except GridError as exc:
+        raise ConfigError("bad time integration: %s" % exc)
     outputs = ["series.csv"]
 
     def snapshot(state):
@@ -459,19 +482,19 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--domain", default="annulus", choices=["annulus", "mask"])
-        sp.add_argument("--rin", type=float, default=1.0)
-        sp.add_argument("--rout", type=float, default=2.0)
+        sp.add_argument("--rin", type=_finite, default=1.0)
+        sp.add_argument("--rout", type=_finite, default=2.0)
         sp.add_argument("--res", type=int, default=32)
         sp.add_argument("--mask-file", dest="mask_file", default=None)
         sp.add_argument("--g", default=None, help="linear:K | affine:K,C | table:FILE")
-        sp.add_argument("--kappa", type=float, default=None)
+        sp.add_argument("--kappa", type=_finite, default=None)
         sp.add_argument(
-            "--a", type=_numbers(float), default="1.0", help="comma-separated circulations"
+            "--a", type=_numbers(_finite), default="1.0", help="comma-separated circulations"
         )
-        sp.add_argument("--b-offset", dest="b_offset", type=float, default=0.0)
+        sp.add_argument("--b-offset", dest="b_offset", type=_finite, default=0.0)
         sp.add_argument("--seed", type=int, default=20240801)
         sp.add_argument(
-            "--tol", type=float, default=1e-10, help="harmonic basis residual bound, times h^2"
+            "--tol", type=_positive, default=1e-10, help="harmonic basis residual bound, times h^2"
         )
         sp.add_argument("--out", default="out")
 
@@ -494,25 +517,25 @@ def build_parser():
 
     sp = sub.choices["stream"]
     sp.add_argument("--omega", default=None, help="vorticity field file")
-    sp.add_argument("--omega-const", dest="omega_const", type=float, default=None)
+    sp.add_argument("--omega-const", dest="omega_const", type=_finite, default=None)
 
     sp = sub.choices["functional"]
     sp.add_argument("--functional", default=None, choices=["E", "EC", "D", "Ds", "Dhat", "H"])
     sp.add_argument("--omega", default=None)
-    sp.add_argument("--omega-const", dest="omega_const", type=float, default=None)
-    sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--m", type=float, default=None, help="mass (default: that of omega)")
+    sp.add_argument("--omega-const", dest="omega_const", type=_finite, default=None)
+    sp.add_argument("--s", type=_finite, default=0.0)
+    sp.add_argument("--m", type=_finite, default=None, help="mass (default: that of omega)")
 
     sp = sub.choices["probe"]
-    sp.add_argument("--radius-frac", dest="radius_frac", type=float, default=0.1)
+    sp.add_argument("--radius-frac", dest="radius_frac", type=_finite, default=0.1)
     sp.add_argument("--samples", type=int, default=200)
 
     sp = sub.choices["simulate"]
-    sp.add_argument("--turnovers", type=float, default=1.0)
+    sp.add_argument("--turnovers", type=_finite, default=1.0)
     sp.add_argument(
-        "--t-final", dest="t_final", type=float, default=None, help="overrides --turnovers"
+        "--t-final", dest="t_final", type=_finite, default=None, help="overrides --turnovers"
     )
-    sp.add_argument("--cfl", type=float, default=0.5)
+    sp.add_argument("--cfl", type=_finite, default=0.5)
     sp.add_argument("--perturb", default="none:0", help="swap:AMP | bump:AMP | none:0")
     sp.add_argument("--cadence", type=int, default=8)
     sp.add_argument("--snap-every", dest="snap_every", type=int, default=0)

@@ -5,12 +5,14 @@ node values together with one constant per inner boundary component, and the
 constant rows impose a prescribed flux through that component.  The block
 matrix is exactly the discrete Dirichlet form on this space, hence symmetric
 positive definite; it is assembled and factorized once per domain, and that
-factorization is the only one a domain keeps.  The harmonic basis, the
-stream solves and the eigenproblems with a constant potential reuse it, and
-every Newton step of a steady solve runs MINRES preconditioned by it on the
-matrix with a diagonal shift (`CondensedSystem.solve_shifted`); only an
-eigenproblem with a nonconstant potential factorizes a copy with a
-nonnegative diagonal shift (`CondensedSystem.shifted_lu`).
+factorization is the only one a domain keeps.  The harmonic basis and the
+stream solves reuse it; so does the one Lanczos basis of its inverse that
+`CondensedSystem.cache` keeps for the eigenproblems with a constant potential
+or a constant slope (see `spectra`).  Every Newton step of a steady solve
+runs MINRES preconditioned by it on the matrix with a diagonal shift
+(`CondensedSystem.solve_shifted`); only an eigenproblem with a nonconstant
+potential factorizes a copy with a nonnegative diagonal shift
+(`CondensedSystem.shifted_lu`).
 
 Built on it:
 

@@ -44,8 +44,8 @@ def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
     symmetric positive definite with p q = I to 1e-10 or the component
     labeling is considered broken.
     """
-    if tol <= 0:
-        raise GridError("tol must be positive")
+    if not tol > 0:
+        raise GridError("tol must be positive, got %r" % (tol,))
     n = domain.n_components - 1
     sys = CondensedSystem.of(domain)
     if n == 0:

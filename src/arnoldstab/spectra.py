@@ -6,13 +6,19 @@ constants (which carry no quadrature mass) against the interior values gives
 the condensed stiffness C = (Ah2 - M D^-1 M^T) / h^2 with unit mass.  C is
 never formed: its inverse is h^2 times the interior block of the inverse of
 the bordered matrix K of `field.CondensedSystem`.  The smallest eigenvalue of
-C + diag(c), optionally plus a rank-one term, comes from shift-invert Lanczos
-(ARPACK `eigsh`, fixed start vector) with the shift sigma = min(c); each step
-is one solve with K + diag(h^2 (c - sigma), 0), which for constant c is the
-cached factorization of K, so one Lanczos run per system serves every
-constant c.  The largest eigenvalue of the circulation-free inverse comes
-from power iteration on the same solve, so lambda * Lambda = 1 compares two
-independent methods.
+C + diag(c), optionally plus a rank-one term rho v v^T, is the smallest Ritz
+value of that operator on a Lanczos basis of the shift-inverted operator
+(C + diag(c) - sigma)^-1 with sigma = min(c), certified by its residual
+(`_lowest_eig`; Parlett, The Symmetric Eigenvalue Problem, 1998).  Each basis
+vector costs one solve with K + diag(h^2 (c - sigma), 0).  For a constant c
+the shift vanishes and the solve is the cached factorization of K, and the
+basis of C^-1 from the vector of ones is cached per domain: it serves
+lambda, every constant c and every constant-slope weak form, whose rank-one
+term is along ones.  Since (C + beta 1 1^T)^-1 maps any x into span{C^-1 x,
+C^-1 1} (Golub, SIAM Rev. 1973), from ones it builds the Krylov space of C^-1
+for every beta.  The largest eigenvalue of the circulation-free inverse
+comes from power iteration on the solve with K, so lambda * Lambda = 1
+compares two independent methods.
 """
 
 from __future__ import annotations
@@ -20,10 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import grid as g
 from .errors import ConvergenceError, SolverError
+
+# Lanczos basis: vectors added between two certificate checks, the most a
+# basis may hold, and the relative norm below which a new direction counts
+# as lying in the space already spanned
+_KRYLOV_STEP = 5
+_KRYLOV_CAP = 60
+_BREAKDOWN = 1e-12
 
 
 @dataclass
@@ -99,91 +111,108 @@ class CriterionReport:
         return ",".join(vals)
 
 
-def _lanczos(solve, n):
-    """Unit eigenvector, with nonnegative sum, of the largest eigenvalue of
-    the symmetric positive operator `solve` on R^n, and the number of solves.
+class _Krylov:
+    """Orthonormal basis of the Krylov space of the symmetric operator
+    `solve` from a start vector: Lanczos with full reorthogonalization,
+    kept as a list of vectors and grown on demand."""
 
-    ARPACK `eigsh` from the start vector of ones, to working precision
-    (tol = 0), with 6 Lanczos vectors: the shift-inverted spectrum is well
-    separated, so a larger Krylov space only adds solves before the first
-    convergence test.
+    def __init__(self, solve, start):
+        self.solve = solve
+        self.vectors = [start / np.linalg.norm(start)]
+        self.invariant = False  # the space is invariant under `solve`
+
+    def grow(self, size):
+        """Extend the basis to `size` vectors, or to the whole Krylov space
+        if that is smaller."""
+        vs = self.vectors
+        while len(vs) < size and not self.invariant:
+            w = self.solve(vs[-1])
+            scale = np.linalg.norm(w)
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                for v, coef in zip(vs, [v @ w for v in vs]):
+                    w -= coef * v
+            norm = np.linalg.norm(w)
+            if norm > _BREAKDOWN * scale:
+                vs.append(w / norm)
+            else:
+                self.invariant = True
+
+
+def _lowest_eig(krylov, apply, tol):
+    """Smallest eigenpair of the symmetric operator `apply`, by Rayleigh-Ritz
+    on the Lanczos basis `krylov` of a shift-inverted operator.
+
+    V^T apply V is accumulated one column per basis vector; every
+    `_KRYLOV_STEP` vectors the smallest Ritz pair is certified by the
+    residual of the Rayleigh quotient mu of `apply` at the unit Ritz vector
+    x, ||apply x - mu x|| <= tol * max(1, |mu|), and the basis grows until
+    it passes.  Only the vectors a pair needs are read, so a pair from a
+    longer cached basis equals that of a fresh one.  Returns (mu, x, number
+    of solves behind the vectors used, residual) with x of nonnegative sum.
     """
-    solves = 0
-
-    def matvec(b):
-        nonlocal solves
-        solves += 1
-        return solve(b)
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        _, vecs = eigsh(op, k=1, which="LA", v0=np.ones(n), ncv=min(n, 6), tol=0.0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError("shift-invert Lanczos did not converge: %s" % exc)
-    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    if x.sum() < 0:
-        x = -x
-    return x, solves
-
-
-def _certified(apply, x, solves, tol):
-    """(mu, x, solves, residual): the Rayleigh quotient mu of `apply` at the
-    unit vector x, certified by ||apply x - mu x|| <= tol * max(1, |mu|)."""
-    ax = apply(x)
-    mu = float(x @ ax)
-    res = float(np.linalg.norm(ax - mu * x))
-    if not res <= tol * max(1.0, abs(mu)):
-        raise ConvergenceError(
-            "shift-invert Lanczos left residual %.3e after %d solves" % (res, solves)
-        )
-    return mu, x, solves, res
-
-
-def _lowest_eig(solve, apply, n, tol):
-    """Smallest eigenpair of the symmetric operator `apply` on R^n, given
-    `solve` = (apply - sigma)^-1 for a shift sigma strictly below its
-    spectrum.
-
-    Lanczos finds the largest eigenvector of `solve`; the eigenvalue is the
-    Rayleigh quotient of `apply`, certified by its residual.  Returns
-    (mu, x, number of solves, residual) with x of unit norm and nonnegative
-    sum.
-    """
-    return _certified(apply, *_lanczos(solve, n), tol)
+    vs = krylov.vectors
+    vav = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
+    size = 0
+    while True:
+        krylov.grow(min(size + _KRYLOV_STEP, _KRYLOV_CAP))
+        new = min(size + _KRYLOV_STEP, _KRYLOV_CAP, len(vs))
+        for j in range(size, new):
+            av = apply(vs[j])
+            vav[: j + 1, j] = [v @ av for v in vs[: j + 1]]
+        size = new
+        y = np.linalg.eigh(vav[:size, :size], UPLO="U")[1][:, 0]
+        x = y[0] * vs[0]
+        for coef, v in zip(y[1:], vs[1:size]):
+            x += coef * v
+        x /= np.linalg.norm(x)
+        if x.sum() < 0:
+            x = -x
+        ax = apply(x)
+        mu = float(x @ ax)
+        res = float(np.linalg.norm(ax - mu * x))
+        if res <= tol * max(1.0, abs(mu)):
+            return mu, x, size - 1, res
+        if size == _KRYLOV_CAP or (size == len(vs) and krylov.invariant):
+            raise ConvergenceError(
+                "shift-invert Lanczos left residual %.3e after %d solves" % (res, size - 1)
+            )
 
 
 def _condensed(sys, c, rank_one=None):
-    """(solve, apply) for C + diag(c) (+ rho v v^T) on interior values, with
-    the shift sigma = min(c); C is SPD, so sigma lies below the spectrum."""
-    h2 = sys.h2
-    sigma = float(c.min())
-    lu = sys.shifted_lu(h2 * (c - sigma))
-    border = np.zeros(sys.n)
+    """(Lanczos basis, apply) for C + diag(c) (+ rho v v^T) on interior
+    values.
 
-    def solve(b):
-        return h2 * lu.solve(np.concatenate([b, border]))[: sys.n_int]
+    The basis is that of the shift-inverted operator (C + diag(c) -
+    sigma)^-1 with sigma = min(c), below the spectrum since C is SPD.  It
+    starts from v, so that its space is also the Krylov space of the inverse
+    with the rank-one term, which then enters `apply` only; without v it
+    starts from ones.  A constant c has sigma = c, so the basis is that of
+    C^-1 from ones (a constant c comes with v along ones), cached per
+    system: one basis serves every constant potential and every
+    constant-slope weak form.
+    """
+    h2 = sys.h2
 
     def apply(x):
         y = sys.Ah2 @ x
         if sys.n:
             y -= sys.M @ ((sys.M.T @ x) / sys.Dk)
-        return y / h2 + c * x
+        y = y / h2 + c * x
+        if rank_one is not None:
+            rho, v = rank_one
+            y += (rho * (v @ x)) * v
+        return y
 
-    if rank_one is None:
-        return solve, apply
-    rho, v = rank_one
-    base, base_apply = solve, apply
-    bv = base(v)
-    denom = 1.0 + rho * (v @ bv)
+    def solver(lu):
+        border = np.zeros(sys.n)
+        return lambda b: h2 * lu.solve(np.concatenate([b, border]))[: sys.n_int]
 
-    def solve(b):  # Sherman-Morrison
-        xb = base(b)
-        return xb - rho * (v @ xb) / denom * bv
-
-    def apply(x):
-        return base_apply(x) + rho * v * (v @ x)
-
-    return solve, apply
+    if np.ptp(c) == 0:
+        if "lanczos_basis" not in sys.cache:
+            sys.cache["lanczos_basis"] = _Krylov(solver(sys.shifted_lu(0.0)), np.ones(sys.n_int))
+        return sys.cache["lanczos_basis"], apply
+    start = np.ones(sys.n_int) if rank_one is None else rank_one[1]
+    return _Krylov(solver(sys.shifted_lu(h2 * (c - c.min()))), start), apply
 
 
 def _result_from_interior(basis, value, u, iters, res):
@@ -207,15 +236,7 @@ def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
         c_int = np.full(sys.n_int, float(c))
     else:
         c_int = c.values[basis.domain.interior_ids]
-    solve, apply = _condensed(sys, c_int)
-    if np.ptp(c_int) == 0:
-        # sigma = c, so the shift vanishes and the Lanczos run is that of K
-        # itself: one run per system serves every constant c
-        if "lanczos_K" not in sys.cache:
-            sys.cache["lanczos_K"] = _lanczos(solve, sys.n_int)
-        val, u, iters, res = _certified(apply, *sys.cache["lanczos_K"], tol)
-    else:
-        val, u, iters, res = _lowest_eig(solve, apply, sys.n_int, tol)
+    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int), tol)
     return _result_from_interior(basis, val, u, iters, res)
 
 
@@ -315,5 +336,4 @@ def weak_pos_def(basis, state, tol: float = 1e-8) -> float:
     if gamma > 1e-12 * dom.area * max(1.0, float(np.abs(gp).max(initial=0.0))):
         rho = h2 * h2 / gamma / h2  # quadratic-form weight over the unit mass
         rank_one = (rho, gp.astype(float))
-    ops = _condensed(sys, -gp.astype(float), rank_one)
-    return _lowest_eig(*ops, sys.n_int, tol)[0]
+    return _lowest_eig(*_condensed(sys, -gp.astype(float), rank_one), tol)[0]

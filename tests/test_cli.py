@@ -367,12 +367,33 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         ["gen", "--rin", "2", "--rout", "1"],
         ["gen", "--rout", "inf"],
         ["gen", "--res", "100000000"],
+        ["harmonic", *BASE, "--tol", "nan"],
+        ["harmonic", *BASE, "--tol", "0"],
+        ["steady", *BASE, "--kappa", "nan"],
+        ["steady", *BASE, "--kappa", "inf"],
+        ["simulate", *BASE, "--kappa", "1", "--cfl", "nan"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--cfl", "0.95"],
     ],
-    ids=["a-length", "stream-a-length", "perturb-mode", "res-0", "radii", "rout-inf", "res-huge"],
+    ids=[
+        "a-length",
+        "stream-a-length",
+        "perturb-mode",
+        "res-0",
+        "radii",
+        "rout-inf",
+        "res-huge",
+        "tol-nan",
+        "tol-0",
+        "kappa-nan",
+        "kappa-inf",
+        "cfl-nan",
+        "cfl-range",
+    ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    """Input the grid or the circulation check rejects is a configuration
-    error (exit 2), not a solver error."""
+    """Input that the option parser, the grid, the circulation check or the
+    time-integration settings reject is a configuration error (exit 2), not
+    a solver error."""
     assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "config error:" in err

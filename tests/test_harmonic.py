@@ -81,5 +81,6 @@ def test_p_permutation_equivariance_two_holes():
 
 
 def test_solve_basis_tolerance_validation(annulus16):
-    with pytest.raises(GridError):
-        harmonic.solve_basis(annulus16, tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(GridError):
+            harmonic.solve_basis(annulus16, tol=tol)

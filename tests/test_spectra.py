@@ -143,65 +143,87 @@ def test_criterion_report_csv(basis32, stable_state32):
 
 
 def test_constant_potential_matches_fresh_lanczos(basis32):
-    """lambda_c with a constant c reuses the Lanczos vector of the unshifted
-    operator; the oracle is a fresh run on the same system, which it must
-    equal exactly."""
+    """lambda_c with a constant c reads the Lanczos basis cached with the
+    domain, which lambda_plain has already grown; a fresh basis of the same
+    operator must give exactly the same pair."""
     sys = basis32.system
     c, tol = 0.7, 1e-8
     spectra.lambda_plain(basis32, tol)
+    cached = sys.cache["lanczos_basis"]
     res = spectra.lambda_c(basis32, c, tol)
-    c_int = np.full(sys.n_int, c)
-    mu, x, solves, r = spectra._lowest_eig(*spectra._condensed(sys, c_int), sys.n_int, tol)
+    shared, apply = spectra._condensed(sys, np.full(sys.n_int, c))
+    assert shared is cached
+    fresh = spectra._Krylov(cached.solve, np.ones(sys.n_int))
+    mu, x, solves, r = spectra._lowest_eig(fresh, apply, tol)
     assert (res.value, res.iterations, res.residual) == (mu, solves, r)
-    fresh = spectra._result_from_interior(basis32, mu, x, solves, r)
-    assert np.array_equal(res.minimizer.values, fresh.minimizer.values)
+    other = spectra._result_from_interior(basis32, mu, x, solves, r)
+    assert np.array_equal(res.minimizer.values, other.minimizer.values)
 
 
-def _calls_per_verdict(monkeypatch, module, name):
-    """Calls of module.name per domain (res-16 annulus, two-hole mask) made
-    by the basis, lambda, and the steady states and verdicts at 0.5 and
-    1.5 lambda."""
+def _verdict_sweep(monkeypatch):
+    """Per domain (res-16 annulus, two-hole mask): the factorizations and
+    the LU solves made by the basis, lambda, and the steady states and
+    verdicts at 0.5 and 1.5 lambda, and the domain's condensed system."""
     from arnoldstab import harmonic
 
-    calls = []
-    inner = getattr(module, name)
+    factorizations, solves = [], []
+    inner = field.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+        factorizations.append(1)
+        return CountingLU(inner(*args, **kwargs))
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(field, "splu", counting)
     mask = np.ones((40, 64), dtype=bool)
     mask[14:26, 12:24] = False
     mask[14:26, 40:52] = False
     two_holes = grid.label_components(mask, h=1.0 / 16)
-    counts = []
+    out = []
     for dom, a in ((grid.build_annulus(1.0, 2.0, 16), [1.0]), (two_holes, [0.5, 0.2])):
-        calls.clear()
+        factorizations.clear()
+        solves.clear()
         basis = harmonic.solve_basis(dom)
         lam = spectra.lambda_plain(basis).value
         for kappa in (0.5 * lam, 1.5 * lam):
             spectra.check_stability(basis, steady.steady_linear(basis, kappa, a))
-        counts.append(len(calls))
-    return counts
+        out.append((len(factorizations), len(solves), basis.system))
+    return out
 
 
-def test_verdict_lanczos_runs_per_domain(monkeypatch):
-    """A verdict on a linear profile makes 3 Lanczos runs per domain: the
-    plain eigenvalue and one weak form per check; mu of each check reuses
-    the plain run."""
-    assert _calls_per_verdict(monkeypatch, spectra, "eigsh") == [3, 3]
+def test_verdict_lu_solves_per_domain(monkeypatch):
+    """Every eigen-solve of a linear-profile verdict reads the one cached
+    Lanczos basis, so the sweep makes at most half the 69 and 103 LU solves
+    that one eigen-run per distinct operator takes."""
+    solves = [n for _, n, _ in _verdict_sweep(monkeypatch)]
+    assert solves[0] <= 69 // 2 and solves[1] <= 103 // 2
 
 
 def test_verdict_factorizations_per_domain(monkeypatch):
     """The same sweep factorizes one matrix per domain: the bordered matrix
     K, which serves the harmonic basis, the eigen-solves and, as the MINRES
     preconditioner, the steady state of each slope kappa."""
-    assert _calls_per_verdict(monkeypatch, field, "splu") == [1, 1]
+    assert [n for n, _, _ in _verdict_sweep(monkeypatch)] == [1, 1]
+
+
+def test_verdict_keeps_one_bounded_basis(monkeypatch):
+    """The sweep leaves exactly one cached Lanczos basis per domain, within
+    the basis cap."""
+    for _, _, sys in _verdict_sweep(monkeypatch):
+        kept = [v for v in sys.cache.values() if isinstance(v, spectra._Krylov)]
+        assert len(kept) == 1
+        assert len(kept[0].vectors) <= spectra._KRYLOV_CAP
 
 
 def test_eigensolvers_match_dense_reference():
-    """The shift-invert Lanczos solves on the bordered system agree with dense
+    """The Lanczos eigen-solves on the bordered system agree with dense
     eigenvalues of the condensed stiffness C = (Ah2 - M D^-1 M^T) / h^2,
     formed explicitly here, on a res-8 annulus (the narrowest gap allowed
     at res 8 is 9 cells, so the annulus is 1 < r < 2.5)."""
@@ -227,6 +249,14 @@ def test_eigensolvers_match_dense_reference():
     c = grid.ScalarField(dom, np.sin(3.0 * dom.node_x) + 0.5 * dom.node_y**2)
     ref = np.linalg.eigvalsh(C + np.diag(c.values[ii]))[0]
     assert close(spectra.lambda_c(basis, c).value, ref)
+
+    # constant slopes: the weak form C - kappa (I - 1 1^T / n) reads the
+    # cached basis of lambda, with the rank-one term in the operator only
+    n = len(ii)
+    for kappa in (0.5 * lam, 1.5 * lam):
+        st = steady.steady_linear(basis, kappa, [1.0])
+        ref = np.linalg.eigvalsh(C - kappa * (np.eye(n) - np.ones((n, n)) / n))[0]
+        assert close(spectra.weak_pos_def(basis, st), ref)
 
     # a profile with varying slope: the weak form needs a fresh shifted
     # factorization and carries its rank-one mean correction
