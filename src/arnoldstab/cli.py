@@ -61,6 +61,23 @@ def _positive(text):
     return value
 
 
+def _count(least):
+    """argparse type: an int of at least `least`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (least, text)
+            )
+        return value
+
+    return parse
+
+
 def _numbers(kind):
     """argparse type: comma-separated numbers of the given kind, as a tuple."""
 
@@ -433,7 +450,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_oracle(args):
-    rp = oracle.RadialProblem(args.rin, args.rout, args.n)
+    try:
+        rp = oracle.RadialProblem(args.rin, args.rout, args.n)
+    except GridError as exc:
+        raise ConfigError("bad radial problem: %s" % exc)
     zeta, p11, q11 = oracle.annulus_closed_forms(args.rin, args.rout)
     rows = [
         ("p11", p11),
@@ -527,8 +547,8 @@ def build_parser():
     sp.add_argument("--m", type=_finite, default=None, help="mass (default: that of omega)")
 
     sp = sub.choices["probe"]
-    sp.add_argument("--radius-frac", dest="radius_frac", type=_finite, default=0.1)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--radius-frac", dest="radius_frac", type=_positive, default=0.1)
+    sp.add_argument("--samples", type=_count(1), default=200)
 
     sp = sub.choices["simulate"]
     sp.add_argument("--turnovers", type=_finite, default=1.0)
@@ -537,8 +557,8 @@ def build_parser():
     )
     sp.add_argument("--cfl", type=_finite, default=0.5)
     sp.add_argument("--perturb", default="none:0", help="swap:AMP | bump:AMP | none:0")
-    sp.add_argument("--cadence", type=int, default=8)
-    sp.add_argument("--snap-every", dest="snap_every", type=int, default=0)
+    sp.add_argument("--cadence", type=_count(1), default=8)
+    sp.add_argument("--snap-every", dest="snap_every", type=_count(0), default=0)
 
     sp = sub.choices["oracle"]
     sp.add_argument("--n", type=int, default=4096)

@@ -47,6 +47,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("swap", "bump", "none"):
             raise GridError("unknown perturbation mode %r" % self.mode)
+        if not math.isfinite(self.amplitude):
+            raise GridError("perturbation amplitude must be finite")
+        if self.mode == "swap" and self.amplitude < 0.0:
+            raise GridError("swap radius must be nonnegative")
 
 
 # steps `run` may take before it gives up on reaching t_final

@@ -384,10 +384,17 @@ def integrate(f: ScalarField) -> float:
 
 def lp_norm(f: ScalarField, p: float = 2.0) -> float:
     dom = f.domain
-    v = np.abs(f.values[dom.interior_ids])
+    return _lp_norm(f.values[dom.interior_ids], dom.h, p)
+
+
+def _lp_norm(values, h: float, p: float = 2.0) -> float:
+    """Discrete Lp norm of interior cell values, h^2 per cell.  The sum is
+    exact, so cells left out of `values` count as zeros: the norm of a
+    difference may be taken over the cells where it is nonzero."""
+    v = np.abs(values)
     if math.isinf(p):
         return float(v.max(initial=0.0))
-    return float((_exact_sum(v**p) * dom.h * dom.h) ** (1.0 / p))
+    return float((_exact_sum(v**p) * h * h) ** (1.0 / p))
 
 
 def linf(f: ScalarField) -> float:

@@ -66,22 +66,29 @@ def _cell(c):
     return str(c)
 
 
+# proposals drawn per call of the generator: a block of pairs is the same
+# stream as one call per pair, since the bit generator buffers its 32-bit
+# halves across calls
+_BLOCK = 256
+# consecutive rejected proposals that end a walk
+_REJECT_RUN = 32
+
+
 def random_swaps(omega_bar: g.ScalarField, k: int, seed: int) -> RearrangementSample:
-    """k uniformly random transpositions of the interior cell values."""
+    """k uniformly random transpositions of the interior cell values; the
+    distance is summed over the touched cells only."""
     if k < 0:
         raise GridError("swap count must be nonnegative")
     dom = omega_bar.domain
     rng = np.random.default_rng(seed)
-    vals = omega_bar.values.copy()
-    ii = dom.interior_ids
-    n = len(ii)
-    pairs = rng.integers(0, n, size=(int(k), 2))
-    for i, j in pairs:
-        a, bnd = ii[i], ii[j]
-        vals[a], vals[bnd] = vals[bnd], vals[a]
-    w = g.ScalarField(dom, vals)
-    dist = g.lp_norm(w - omega_bar)
-    return RearrangementSample(w, dist, int(k), int(seed))
+    base = omega_bar.values
+    vals = base.copy()
+    pairs = dom.interior_ids[rng.integers(0, dom.n_interior, size=(int(k), 2))]
+    for a, b in pairs.tolist():
+        vals[a], vals[b] = vals[b], vals[a]
+    touched = np.unique(pairs)
+    dist = g._lp_norm(vals[touched] - base[touched], dom.h)
+    return RearrangementSample(g.ScalarField(dom, vals), dist, int(k), int(seed))
 
 
 def swaps_within_radius(
@@ -92,35 +99,52 @@ def swaps_within_radius(
 ) -> RearrangementSample:
     """Random transpositions accepted while the L2 distance stays below radius.
 
-    Distance is tracked incrementally; the walk stops after a run of rejected
-    proposals or at max_swaps.
+    The squared distance is tracked incrementally on Python floats, and the
+    swapped values live in an overlay of the touched cells until the walk
+    ends: after a run of _REJECT_RUN rejected proposals, or at max_swaps
+    (default four times the interior cell count).  The reported distance is
+    summed exactly over the touched cells.
     """
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise GridError("radius must be finite and nonnegative")
+    if max_swaps is not None and max_swaps < 0:
+        raise GridError("swap cap must be nonnegative")
     dom = omega_bar.domain
     rng = np.random.default_rng(seed)
-    vals = omega_bar.values.copy()
     base = omega_bar.values
     ii = dom.interior_ids
     n = len(ii)
     h2 = dom.h * dom.h
-    if max_swaps is None:
-        max_swaps = 4 * n
+    cap = 4 * n if max_swaps is None else max_swaps
+    moved = {}  # node -> current value, for every touched cell
     dist_p = 0.0
-    swaps = 0
-    rejected = 0
-    while swaps < max_swaps and rejected < 32:
-        i, j = rng.integers(0, n, size=2)
-        a, bnd = ii[i], ii[j]
-        old = (abs(vals[a] - base[a]) ** 2.0 + abs(vals[bnd] - base[bnd]) ** 2.0) * h2
-        new = (abs(vals[bnd] - base[a]) ** 2.0 + abs(vals[a] - base[bnd]) ** 2.0) * h2
-        if (dist_p - old + new) ** 0.5 < radius:
-            vals[a], vals[bnd] = vals[bnd], vals[a]
-            dist_p = dist_p - old + new
-            swaps += 1
-            rejected = 0
-        else:
-            rejected += 1
-    w = g.ScalarField(dom, vals)
-    return RearrangementSample(w, g.lp_norm(w - omega_bar), swaps, int(seed))
+    swaps = rejected = 0
+    while swaps < cap and rejected < _REJECT_RUN:
+        nodes = ii[rng.integers(0, n, size=(_BLOCK, 2))]
+        for a, b, ba, bb in zip(*nodes.T.tolist(), *base[nodes].T.tolist()):
+            va = moved.get(a, ba)
+            vb = moved.get(b, bb)
+            old = (abs(va - ba) ** 2.0 + abs(vb - bb) ** 2.0) * h2
+            new = (abs(vb - ba) ** 2.0 + abs(va - bb) ** 2.0) * h2
+            trial = dist_p - old + new
+            # a round-off negative trial fails, as its NaN root would
+            if trial >= 0.0 and trial**0.5 < radius:
+                moved[a], moved[b] = vb, va
+                dist_p = trial
+                swaps += 1
+                rejected = 0
+                if swaps >= cap:
+                    break
+            else:
+                rejected += 1
+                if rejected >= _REJECT_RUN:
+                    break
+    touched = np.fromiter(moved, dtype=np.intp, count=len(moved))
+    vals = base.copy()
+    vals[touched] = np.fromiter(moved.values(), dtype=float, count=len(moved))
+    dist = g._lp_norm(vals[touched] - base[touched], dom.h)
+    return RearrangementSample(g.ScalarField(dom, vals), dist, swaps, int(seed))
 
 
 def hl_coupling(v0, w_tilde: g.ScalarField) -> g.ScalarField:

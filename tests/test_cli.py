@@ -373,6 +373,18 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         ["steady", *BASE, "--kappa", "inf"],
         ["simulate", *BASE, "--kappa", "1", "--cfl", "nan"],
         ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--cfl", "0.95"],
+        ["probe", *BASE, "--kappa", "1", "--samples", "0"],
+        ["probe", *BASE, "--kappa", "1", "--samples", "-3"],
+        ["probe", *BASE, "--kappa", "1", "--samples", "2.5"],
+        ["probe", *BASE, "--kappa", "1", "--radius-frac", "-0.5"],
+        ["probe", *BASE, "--kappa", "1", "--radius-frac", "0"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--cadence", "0"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--cadence", "-2"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--snap-every", "-1"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--perturb", "swap:-0.1"],
+        ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--perturb", "swap:inf"],
+        ["oracle", "--n", "3"],
+        ["oracle", "--rin", "2", "--rout", "1"],
     ],
     ids=[
         "a-length",
@@ -388,12 +400,24 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         "kappa-inf",
         "cfl-nan",
         "cfl-range",
+        "samples-0",
+        "samples-negative",
+        "samples-fraction",
+        "radius-frac-negative",
+        "radius-frac-0",
+        "cadence-0",
+        "cadence-negative",
+        "snap-every-negative",
+        "swap-radius-negative",
+        "swap-radius-inf",
+        "oracle-n",
+        "oracle-radii",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    """Input that the option parser, the grid, the circulation check or the
-    time-integration settings reject is a configuration error (exit 2), not
-    a solver error."""
+    """Input that the option parser, the grid, the circulation check, the
+    radial oracle or the time-integration settings reject is a configuration
+    error (exit 2), not a solver error."""
     assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "config error:" in err

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -48,6 +49,106 @@ def test_swaps_within_radius(stable_state32):
     assert np.array_equal(
         np.sort(smp.w.interior_values), np.sort(stable_state32.omega_bar.interior_values)
     )
+
+
+# -- bit-identity of the samplers ----------------------------------------------------
+#
+# The oracles are the samplers as they were written before blocked draws and
+# the touched-cell overlay: one generator call per proposal, swaps on a full
+# copy, and the distance as the L2 norm of the whole difference.
+
+
+def _walk_oracle(omega_bar, radius, seed, max_swaps=None):
+    dom = omega_bar.domain
+    rng = np.random.default_rng(seed)
+    vals = omega_bar.values.copy()
+    base = omega_bar.values
+    ii = dom.interior_ids
+    n = len(ii)
+    h2 = dom.h * dom.h
+    if max_swaps is None:
+        max_swaps = 4 * n
+    dist_p = 0.0
+    swaps = 0
+    rejected = 0
+    while swaps < max_swaps and rejected < 32:
+        i, j = rng.integers(0, n, size=2)
+        a, bnd = ii[i], ii[j]
+        old = (abs(vals[a] - base[a]) ** 2.0 + abs(vals[bnd] - base[bnd]) ** 2.0) * h2
+        new = (abs(vals[bnd] - base[a]) ** 2.0 + abs(vals[a] - base[bnd]) ** 2.0) * h2
+        with np.errstate(invalid="ignore"):
+            accept = (dist_p - old + new) ** 0.5 < radius
+        if accept:
+            vals[a], vals[bnd] = vals[bnd], vals[a]
+            dist_p = dist_p - old + new
+            swaps += 1
+            rejected = 0
+        else:
+            rejected += 1
+    w = grid.ScalarField(dom, vals)
+    return w, grid.lp_norm(w - omega_bar), swaps
+
+
+def _random_swaps_oracle(omega_bar, k, seed):
+    dom = omega_bar.domain
+    rng = np.random.default_rng(seed)
+    vals = omega_bar.values.copy()
+    ii = dom.interior_ids
+    for i, j in rng.integers(0, len(ii), size=(k, 2)):
+        a, bnd = ii[i], ii[j]
+        vals[a], vals[bnd] = vals[bnd], vals[a]
+    w = grid.ScalarField(dom, vals)
+    return w, grid.lp_norm(w - omega_bar), k
+
+
+@pytest.fixture(scope="module")
+def omega_bars(stable_state32):
+    """Steady vorticities at res 24 (h = 1/24 is not a power of two) and 32."""
+    b24 = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 24))
+    lam24 = spectra.lambda_plain(b24).value
+    return [steady.steady_linear(b24, 0.5 * lam24, [1.0]).omega_bar, stable_state32.omega_bar]
+
+
+def _same(smp, oracle):
+    w, dist, count = oracle
+    assert smp.w.values.tobytes() == w.values.tobytes()
+    assert (smp.distance_lp, smp.swap_count) == (dist, count)
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.1, 0.3])
+def test_swaps_within_radius_equals_per_proposal_walk(omega_bars, frac):
+    for wbar in omega_bars:
+        radius = frac * grid.lp_norm(wbar)
+        for seed in range(8):
+            _same(ra.swaps_within_radius(wbar, radius, seed), _walk_oracle(wbar, radius, seed))
+        # a cap that stops the walk inside a block of proposals
+        cap = max(1, ra.swaps_within_radius(wbar, radius, 99).swap_count // 2)
+        smp = ra.swaps_within_radius(wbar, radius, 99, max_swaps=cap)
+        assert smp.swap_count == cap
+        _same(smp, _walk_oracle(wbar, radius, 99, max_swaps=cap))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 64, 500])
+def test_random_swaps_equals_full_norm(omega_bars, k):
+    for wbar in omega_bars:
+        for seed in range(8):
+            _same(ra.random_swaps(wbar, k, seed), _random_swaps_oracle(wbar, k, seed))
+
+
+def test_block_draws_equal_per_call_draws():
+    # near 2^32 about a quarter of the 32-bit draws are rejected and redrawn
+    n = 3 * 2**30 + 7
+    block = np.random.default_rng(5).integers(0, n, size=(600, 2))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(block, [rng.integers(0, n, size=2) for _ in range(600)])
+
+
+@pytest.mark.parametrize(
+    "radius, max_swaps", [(-1.0, None), (math.nan, None), (math.inf, None), (0.1, -1)]
+)
+def test_swaps_within_radius_rejects_bad_input(stable_state32, radius, max_swaps):
+    with pytest.raises(GridError):
+        ra.swaps_within_radius(stable_state32.omega_bar, radius, 0, max_swaps=max_swaps)
 
 
 def _line_domain(n):
@@ -249,6 +350,7 @@ def test_probes_solve_once_per_sample(monkeypatch, basis32, stable_state32):
     gext, lp = _extended(st)
     p_calls = _count_calls(monkeypatch, fn, "p_apply")
     solves = _count_calls(monkeypatch, field.CondensedSystem, "solve_stream")
+    factors = _count_calls(monkeypatch, field, "_factor")
     n = 5
     rep = ra.supporting_probe(basis32, st, gext, n, 3, lp)
     # the steady vorticity (t = 0, which also sets the scale) and n samples
@@ -260,6 +362,8 @@ def test_probes_solve_once_per_sample(monkeypatch, basis32, stable_state32):
     ra.local_max_probe(basis32, st, 0.1 * grid.lp_norm(st.omega_bar), n, 3)
     assert len(p_calls) == n + 1
     assert len(solves) == n + 1
+    # the basis's factorization serves every solve
+    assert not factors
 
 
 def test_criterion_6_values_equal_one_call_per_functional(tmp_path):
