@@ -181,14 +181,14 @@ def _parse_g(args):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "linear":
-            return functionals.GFunc.linear(float(rest))
+            return functionals.GFunc.linear(_finite(rest))
         if kind == "affine":
             sl, off = rest.split(",")
-            return functionals.GFunc.affine(float(sl), float(off))
+            return functionals.GFunc.affine(_finite(sl), _finite(off))
         if kind == "table":
             data = np.loadtxt(rest, delimiter=",")
             return functionals.GFunc.tabulated(data[:, 0], data[:, 1])
-    except (OSError, ValueError, IndexError, GridError) as exc:
+    except (OSError, ValueError, IndexError, GridError, argparse.ArgumentTypeError) as exc:
         raise ConfigError("bad profile spec %r: %s" % (spec, exc))
     raise ConfigError("unknown profile spec %r" % spec)
 

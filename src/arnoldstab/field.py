@@ -5,14 +5,13 @@ node values together with one constant per inner boundary component, and the
 constant rows impose a prescribed flux through that component.  The block
 matrix is exactly the discrete Dirichlet form on this space, hence symmetric
 positive definite; it is assembled and factorized once per domain, and that
-factorization is the only one a domain keeps.  The harmonic basis and the
-stream solves reuse it; so does the one Lanczos basis of its inverse that
-`CondensedSystem.cache` keeps for the eigenproblems with a constant potential
-or a constant slope (see `spectra`).  Every Newton step of a steady solve
+is the only factorization the package makes.  The harmonic basis and the
+stream solves reuse it, and so does every eigenproblem: the one Lanczos
+basis of its inverse that `CondensedSystem.cache` keeps for a constant
+potential or a constant slope, and the Davidson basis it preconditions for a
+nonconstant potential (see `spectra`).  Every Newton step of a steady solve
 runs MINRES preconditioned by it on the matrix with a diagonal shift
-(`CondensedSystem.solve_shifted`); only an eigenproblem with a nonconstant
-potential factorizes a copy with a nonnegative diagonal shift
-(`CondensedSystem.shifted_lu`).
+(`CondensedSystem.solve_shifted`).
 
 Built on it:
 
@@ -128,19 +127,6 @@ class CondensedSystem:
         return domain._system
 
     # -- raw solves ------------------------------------------------------------
-
-    def shifted_lu(self, d_int):
-        """Factorization of K + diag(d_int, 0): the bordered matrix with a
-        nonnegative diagonal shift on the interior rows only, so still SPD.
-        A zero shift returns the cached factorization of K itself; a negative
-        one raises `SolverError`, since the factorization does not pivot."""
-        d = np.broadcast_to(np.asarray(d_int, dtype=float), (self.n_int,))
-        if not (d >= 0.0).all():
-            raise SolverError("shifted condensed system needs a nonnegative shift")
-        if not d.any():
-            return self._lu_K
-        shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
-        return _factor(self.K + shift, "shifted condensed system")
 
     def solve_shifted(self, d, rhs):
         """z with (K - diag(d, 0)) z = rhs, for an interior diagonal d (a

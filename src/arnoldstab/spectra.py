@@ -7,18 +7,19 @@ the condensed stiffness C = (Ah2 - M D^-1 M^T) / h^2 with unit mass.  C is
 never formed: its inverse is h^2 times the interior block of the inverse of
 the bordered matrix K of `field.CondensedSystem`.  The smallest eigenvalue of
 C + diag(c), optionally plus a rank-one term rho v v^T, is the smallest Ritz
-value of that operator on a Lanczos basis of the shift-inverted operator
-(C + diag(c) - sigma)^-1 with sigma = min(c), certified by its residual
+value of that operator on an orthonormal basis, certified by its residual
 (`_lowest_eig`; Parlett, The Symmetric Eigenvalue Problem, 1998).  Each basis
-vector costs one solve with K + diag(h^2 (c - sigma), 0).  For a constant c
-the shift vanishes and the solve is the cached factorization of K, and the
-basis of C^-1 from the vector of ones is cached per domain: it serves
-lambda, every constant c and every constant-slope weak form, whose rank-one
-term is along ones.  Since (C + beta 1 1^T)^-1 maps any x into span{C^-1 x,
-C^-1 1} (Golub, SIAM Rev. 1973), from ones it builds the Krylov space of C^-1
-for every beta.  The largest eigenvalue of the circulation-free inverse
-comes from power iteration on the solve with K, so lambda * Lambda = 1
-compares two independent methods.
+vector costs one solve with C^-1, that is with the cached factorization of
+K.  For a constant c the basis is the Lanczos basis of C^-1 from the vector
+of ones, cached per domain: it serves lambda, every constant c and every
+constant-slope weak form, whose rank-one term is along ones.  Since (C +
+beta 1 1^T)^-1 maps any x into span{C^-1 x, C^-1 1} (Golub, SIAM Rev. 1973),
+from ones it builds the Krylov space of C^-1 for every beta.  A nonconstant
+c grows a fresh Davidson basis instead, by C^-1 r for the residual r of each
+Ritz pair that fails its certificate (Davidson, J. Comput. Phys. 17, 1975).
+The largest eigenvalue of the circulation-free inverse comes from power
+iteration on the solve with K, so lambda * Lambda = 1 compares two
+independent methods.
 """
 
 from __future__ import annotations
@@ -119,46 +120,61 @@ class _Krylov:
     def __init__(self, solve, start):
         self.solve = solve
         self.vectors = [start / np.linalg.norm(start)]
-        self.invariant = False  # the space is invariant under `solve`
+        self.exhausted = False  # a new direction lay in the span
 
-    def grow(self, size):
-        """Extend the basis to `size` vectors, or to the whole Krylov space
-        if that is smaller."""
+    def grow(self, size, residual):
+        """Extend the basis to `size` vectors, or to the whole Krylov space."""
+        while len(self.vectors) < size and not self.exhausted:
+            self._append(self.solve(self.vectors[-1]))
+
+    def _append(self, w):
+        """Orthonormalize w against the basis and append it, if not in the span."""
         vs = self.vectors
-        while len(vs) < size and not self.invariant:
-            w = self.solve(vs[-1])
-            scale = np.linalg.norm(w)
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                for v, coef in zip(vs, [v @ w for v in vs]):
-                    w -= coef * v
-            norm = np.linalg.norm(w)
-            if norm > _BREAKDOWN * scale:
-                vs.append(w / norm)
-            else:
-                self.invariant = True
+        scale = np.linalg.norm(w)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            for v, coef in zip(vs, [v @ w for v in vs]):
+                w -= coef * v
+        norm = np.linalg.norm(w)
+        if norm > _BREAKDOWN * scale:
+            vs.append(w / norm)
+        else:
+            self.exhausted = True
 
 
-def _lowest_eig(krylov, apply, tol):
+class _Davidson(_Krylov):
+    """Davidson's basis (J. Comput. Phys. 17, 1975) preconditioned by
+    `solve`: one vector solve(r) per residual r of a failed Ritz pair."""
+
+    def grow(self, size, residual):
+        if residual is not None:
+            self._append(self.solve(residual))
+
+
+def _lowest_eig(basis, apply, tol):
     """Smallest eigenpair of the symmetric operator `apply`, by Rayleigh-Ritz
-    on the Lanczos basis `krylov` of a shift-inverted operator.
+    on a `_Krylov` or `_Davidson` basis.
 
-    V^T apply V is accumulated one column per basis vector; every
-    `_KRYLOV_STEP` vectors the smallest Ritz pair is certified by the
-    residual of the Rayleigh quotient mu of `apply` at the unit Ritz vector
-    x, ||apply x - mu x|| <= tol * max(1, |mu|), and the basis grows until
-    it passes.  Only the vectors a pair needs are read, so a pair from a
-    longer cached basis equals that of a fresh one.  Returns (mu, x, number
-    of solves behind the vectors used, residual) with x of nonnegative sum.
+    V^T apply V is accumulated one column per basis vector; the smallest
+    Ritz pair is certified by the residual r of the Rayleigh quotient mu of
+    `apply` at the unit Ritz vector x, ||apply x - mu x|| <= tol * max(1,
+    |mu|), and until it passes the basis grows, given r, by up to
+    `_KRYLOV_STEP` vectors.  Only the vectors a pair needs are read, so a
+    pair from a longer cached basis equals that of a fresh one.  A
+    non-finite entry of V^T apply V or r raises `ConvergenceError` at once.
+    Returns (mu, x, number of solves behind the vectors used, residual)
+    with x of nonnegative sum.
     """
-    vs = krylov.vectors
+    vs = basis.vectors
     vav = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
-    size = 0
+    size, r = 0, None
     while True:
-        krylov.grow(min(size + _KRYLOV_STEP, _KRYLOV_CAP))
+        basis.grow(min(size + _KRYLOV_STEP, _KRYLOV_CAP), r)
         new = min(size + _KRYLOV_STEP, _KRYLOV_CAP, len(vs))
         for j in range(size, new):
             av = apply(vs[j])
             vav[: j + 1, j] = [v @ av for v in vs[: j + 1]]
+        if not np.isfinite(vav[:new, size:new]).all():
+            raise ConvergenceError("Rayleigh-Ritz matrix is not finite")
         size = new
         y = np.linalg.eigh(vav[:size, :size], UPLO="U")[1][:, 0]
         x = y[0] * vs[0]
@@ -169,27 +185,24 @@ def _lowest_eig(krylov, apply, tol):
             x = -x
         ax = apply(x)
         mu = float(x @ ax)
-        res = float(np.linalg.norm(ax - mu * x))
+        r = ax - mu * x
+        res = float(np.linalg.norm(r))
         if res <= tol * max(1.0, abs(mu)):
             return mu, x, size - 1, res
-        if size == _KRYLOV_CAP or (size == len(vs) and krylov.invariant):
+        if not np.isfinite(res) or size == _KRYLOV_CAP or (size == len(vs) and basis.exhausted):
             raise ConvergenceError(
-                "shift-invert Lanczos left residual %.3e after %d solves" % (res, size - 1)
+                "Rayleigh-Ritz left residual %.3e after %d solves" % (res, size - 1)
             )
 
 
 def _condensed(sys, c, rank_one=None):
-    """(Lanczos basis, apply) for C + diag(c) (+ rho v v^T) on interior
-    values.
+    """(basis, apply) for C + diag(c) (+ rho v v^T) on interior values.
 
-    The basis is that of the shift-inverted operator (C + diag(c) -
-    sigma)^-1 with sigma = min(c), below the spectrum since C is SPD.  It
-    starts from v, so that its space is also the Krylov space of the inverse
-    with the rank-one term, which then enters `apply` only; without v it
-    starts from ones.  A constant c has sigma = c, so the basis is that of
-    C^-1 from ones (a constant c comes with v along ones), cached per
-    system: one basis serves every constant potential and every
-    constant-slope weak form.
+    Every basis vector costs one solve with C^-1, by the cached factorization
+    of K.  A constant c (which comes with v along ones) reads the Lanczos
+    basis of C^-1 from ones, cached per system: it is the Krylov space of (C
+    + c + rho v v^T)^-1 for every c and rho.  A nonconstant c gets a fresh
+    `_Davidson` basis, started from v, or from ones without v.
     """
     h2 = sys.h2
 
@@ -203,16 +216,15 @@ def _condensed(sys, c, rank_one=None):
             y += (rho * (v @ x)) * v
         return y
 
-    def solver(lu):
-        border = np.zeros(sys.n)
-        return lambda b: h2 * lu.solve(np.concatenate([b, border]))[: sys.n_int]
+    def solve(b):
+        return h2 * sys.solve_shifted(0.0, np.concatenate([b, np.zeros(sys.n)]))[: sys.n_int]
 
     if np.ptp(c) == 0:
         if "lanczos_basis" not in sys.cache:
-            sys.cache["lanczos_basis"] = _Krylov(solver(sys.shifted_lu(0.0)), np.ones(sys.n_int))
+            sys.cache["lanczos_basis"] = _Krylov(solve, np.ones(sys.n_int))
         return sys.cache["lanczos_basis"], apply
     start = np.ones(sys.n_int) if rank_one is None else rank_one[1]
-    return _Krylov(solver(sys.shifted_lu(h2 * (c - c.min()))), start), apply
+    return _Davidson(solve, start), apply
 
 
 def _result_from_interior(basis, value, u, iters, res):

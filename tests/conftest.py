@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from arnoldstab import grid, harmonic, oracle, spectra, steady
+from arnoldstab.functionals import GFunc
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +57,9 @@ def rng():
 def random_interior_field(dom, rng, scale=1.0):
     vals = np.where(dom.is_interior, rng.standard_normal(dom.n_nodes) * scale, 0.0)
     return grid.ScalarField(dom, vals)
+
+
+def tanh_profile(lam):
+    """The 2001-knot table g = (lambda/2)(0.8 s + 0.2 tanh 2s)."""
+    knots = np.linspace(-3.0, 3.0, 2001)
+    return GFunc.tabulated(knots, 0.5 * lam * (0.8 * knots + 0.2 * np.tanh(2 * knots)))

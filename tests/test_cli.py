@@ -371,6 +371,10 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         ["harmonic", *BASE, "--tol", "0"],
         ["steady", *BASE, "--kappa", "nan"],
         ["steady", *BASE, "--kappa", "inf"],
+        ["steady", *BASE, "--g", "linear:nan"],
+        ["steady", *BASE, "--g", "linear:-inf"],
+        ["steady", *BASE, "--g", "affine:nan,0"],
+        ["steady", *BASE, "--g", "affine:1,inf"],
         ["simulate", *BASE, "--kappa", "1", "--cfl", "nan"],
         ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--cfl", "0.95"],
         ["probe", *BASE, "--kappa", "1", "--samples", "0"],
@@ -398,6 +402,10 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         "tol-0",
         "kappa-nan",
         "kappa-inf",
+        "g-linear-nan",
+        "g-linear-inf",
+        "g-affine-slope-nan",
+        "g-affine-offset-inf",
         "cfl-nan",
         "cfl-range",
         "samples-0",
@@ -422,6 +430,22 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "solver error:" not in err
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        ("1e308", "Rayleigh-Ritz matrix is not finite"),
+        ("1e200", "Rayleigh-Ritz left residual inf after 4 solves"),
+    ],
+)
+def test_non_finite_rayleigh_ritz_exits_3(kappa, message, tmp_path, capsys):
+    """A slope whose eigen-solve overflows is a solver error, raised at the
+    first Rayleigh-Ritz step, not a traceback or a run to the basis cap."""
+    assert run_cli("spectra", *BASE, "--kappa", kappa, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "solver error: %s" % message in err
+    assert "Traceback" not in err
 
 
 def test_grid_error_in_solve_exits_3(tmp_path, monkeypatch, capsys):

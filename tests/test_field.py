@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from arnoldstab import field, grid, oracle
-from arnoldstab.errors import GridError, SolverError
+from arnoldstab.errors import GridError
 
 from conftest import random_interior_field
 
@@ -444,16 +444,3 @@ def test_stream_certificate_is_lazy(basis32, monkeypatch):
     assert sol.flux_errors.max() <= 1e-9
     assert sol.residual == residual
     assert len(calls) == 1
-
-
-def test_shifted_lu_rejects_negative_shift(basis32):
-    """The factorization does not pivot, so it accepts only the SPD shifts
-    K + diag(d, 0) with d >= 0."""
-    sys = basis32.system
-    d = np.full(sys.n_int, 0.1)
-    assert sys.shifted_lu(np.zeros(sys.n_int)) is sys.shifted_lu(0.0)
-    sys.shifted_lu(d)
-    d[sys.n_int // 2] = -1e-3
-    for bad in (d, -0.1, np.nan):
-        with pytest.raises(SolverError):
-            sys.shifted_lu(bad)

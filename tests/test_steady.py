@@ -6,6 +6,8 @@ from scipy.sparse.linalg import eigsh, spsolve
 from arnoldstab import field, functionals as fn, grid, harmonic, oracle, spectra, steady
 from arnoldstab.errors import ConvergenceError, SolverError
 
+from conftest import tanh_profile
+
 
 def test_zero_slope_is_circulation_flow(basis32):
     st = steady.steady_linear(basis32, 0.0, [0.7])
@@ -144,12 +146,6 @@ def test_steady_linear_refinement_certifies_at_res128(basis128):
     assert st.iterations >= 2
 
 
-def _tanh_profile(lam):
-    """The 2001-knot table g = (lambda/2)(0.8 s + 0.2 tanh 2s)."""
-    knots = np.linspace(-3.0, 3.0, 2001)
-    return fn.GFunc.tabulated(knots, 0.5 * lam * (0.8 * knots + 0.2 * np.tanh(2 * knots)))
-
-
 def _picard(basis, gf, a, iterations=400, damping=0.5):
     """Reference: damped fixed-point iteration psi <- (1-b) psi + b
     stream(g(psi), a) from the flow of zero vorticity."""
@@ -163,7 +159,7 @@ def _picard(basis, gf, a, iterations=400, damping=0.5):
 
 
 def test_newton_agrees_with_picard(basis32, lam32, stable_state32):
-    gf = _tanh_profile(lam32)
+    gf = tanh_profile(lam32)
     st = steady.steady_newton(basis32, gf, [1.0])
     assert st.certified
     assert np.abs(st.psi_bar.values - _picard(basis32, gf, [1.0])).max() <= 1e-8
@@ -194,7 +190,7 @@ def test_newton_affine_profile_certified(basis32, lam32):
 
 def test_newton_cap_flags_uncertified(basis32, lam32, monkeypatch):
     monkeypatch.setattr(steady, "_NEWTON_CAP", 0)
-    st = steady.steady_newton(basis32, _tanh_profile(lam32), [1.0])
+    st = steady.steady_newton(basis32, tanh_profile(lam32), [1.0])
     assert not st.certified
     assert st.iterations == 1
 
@@ -202,7 +198,7 @@ def test_newton_cap_flags_uncertified(basis32, lam32, monkeypatch):
 def test_newton_certifies_tanh_at_res128(basis128):
     """The res-128 tanh state certifies; 81 damped fixed-point iterations
     left it at 2.0e-8."""
-    st = steady.steady_newton(basis128, _tanh_profile(spectra.lambda_plain(basis128).value), [1.0])
+    st = steady.steady_newton(basis128, tanh_profile(spectra.lambda_plain(basis128).value), [1.0])
     assert st.certified
     assert st.residual_pde <= 1e-8 * max(1.0, float(np.abs(st.omega_bar.values).max()))
 
@@ -213,7 +209,7 @@ def test_newton_solves_with_K(monkeypatch):
     took 90)."""
     lus = _counting_factorizations(monkeypatch)
     basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
-    gf = _tanh_profile(spectra.lambda_plain(basis).value)
+    gf = tanh_profile(spectra.lambda_plain(basis).value)
     lus[0].solves = 0
     assert steady.steady_newton(basis, gf, [1.0]).certified
     assert len(lus) == 1
