@@ -460,12 +460,8 @@ def _determinism_pipeline(ctx, out):
     lam = spectra.lambda_plain(basis).value
     st = steady.steady_linear(basis, 0.5 * lam, [1.0])
     rep = spectra.check_stability(basis, st)
-    with open(os.path.join(out, "criterion.csv"), "w") as fh:
-        fh.write(rep.csv_header() + "\n")
-        fh.write(rep.csv_row() + "\n")
-    with open(os.path.join(out, "steady.csv"), "w") as fh:
-        fh.write(st.csv_header() + "\n")
-        fh.write(st.csv_row() + "\n")
+    rep.write_csv(os.path.join(out, "criterion.csv"))
+    st.write_csv(os.path.join(out, "steady.csv"))
     probe = rearrange.local_max_probe(
         basis, st, 0.1 * grid.lp_norm(st.omega_bar), 20, ctx.seed
     )
@@ -539,8 +535,9 @@ def summary_table(results):
 
 
 def write_summary(results, path):
-    with open(path, "w") as fh:
-        fh.write("criterion,title,passed,details\n")
-        for r in results:
-            detail = ";".join("%s=%s" % (k, _fmt(v)) for k, v in r.details.items())
-            fh.write('%d,%s,%d,"%s"\n' % (r.cid, r.title, int(r.passed), detail))
+    """One row per criterion; the details cell is quoted, since it may hold commas."""
+    rows = []
+    for r in results:
+        detail = ";".join("%s=%s" % (k, _fmt(v)) for k, v in r.details.items())
+        rows.append((r.cid, r.title, r.passed, '"%s"' % detail))
+    grid.write_csv(path, ("criterion", "title", "passed", "details"), rows)

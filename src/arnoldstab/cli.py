@@ -2,8 +2,11 @@
 
 Subcommands assemble the library pieces into reproducible pipelines: every
 run echoes its configuration, versions, seed, and wall time into a
-manifest.json in the output directory, and all tabular results are CSV so
-that identical configurations produce bit-identical files.
+manifest.json in the output directory.  Every tabular result is a CSV file
+written through `grid.write_csv` (or, for the rows `functional` appends to
+functional.csv and the table `oracle` prints, through `grid.csv_line`), so
+cells are formatted in one place and identical configurations produce
+bit-identical files.
 """
 
 from __future__ import annotations
@@ -242,14 +245,15 @@ def _cmd_harmonic(args):
         name = "zeta_%d.sfld" % (i + 1)
         grid.write_field(os.path.join(out, name), z)
         outputs.append(name)
-    with open(os.path.join(out, "pq.csv"), "w") as fh:
-        fh.write("i,j,p_ij,q_ij\n")
-        for i in range(basis.n):
-            for j in range(basis.n):
-                fh.write(
-                    "%d,%d,%s,%s\n"
-                    % (i + 1, j + 1, repr(float(basis.p[i, j])), repr(float(basis.q[i, j])))
-                )
+    grid.write_csv(
+        os.path.join(out, "pq.csv"),
+        ("i", "j", "p_ij", "q_ij"),
+        [
+            (i + 1, j + 1, basis.p[i, j], basis.q[i, j])
+            for i in range(basis.n)
+            for j in range(basis.n)
+        ],
+    )
     outputs.append("pq.csv")
     print("p =", basis.p)
     return outputs
@@ -274,9 +278,11 @@ def _cmd_stream(args):
     grid.write_field(os.path.join(out, "psi.sfld"), sol.psi)
     grid.write_field(os.path.join(out, "vx.sfld"), grid.ScalarField(dom, vel.vx))
     grid.write_field(os.path.join(out, "vy.sfld"), grid.ScalarField(dom, vel.vy))
-    with open(os.path.join(out, "diag.csv"), "w") as fh:
-        fh.write("residual," + ",".join("flux_err_%d" % (k + 1) for k in range(len(a))) + "\n")
-        fh.write(",".join([repr(sol.residual)] + [repr(float(e)) for e in sol.flux_errors]) + "\n")
+    grid.write_csv(
+        os.path.join(out, "diag.csv"),
+        ("residual", *("flux_err_%d" % (k + 1) for k in range(len(a)))),
+        [(sol.residual, *sol.flux_errors)],
+    )
     print("residual %.3e, flux errors %s" % (sol.residual, sol.flux_errors))
     return ["psi.sfld", "vx.sfld", "vy.sfld", "diag.csv"]
 
@@ -317,8 +323,8 @@ def _cmd_functional(args):
     new = not os.path.exists(path)
     with open(path, "a") as fh:
         if new:
-            fh.write("functional,value,mu\n")
-        fh.write("%s,%s,%s\n" % (which, repr(row["value"]), repr(row.get("mu", float("nan")))))
+            fh.write(grid.csv_line(("functional", "value", "mu")) + "\n")
+        fh.write(grid.csv_line((which, row["value"], row.get("mu", float("nan")))) + "\n")
     print(which, "=", row["value"])
     return ["functional.csv"]
 
@@ -340,9 +346,7 @@ def _cmd_spectra(args):
     report = spectra.check_stability(basis, st)
     lam = spectra.lambda_plain(basis)
     big = spectra.lambda_big(basis)
-    with open(os.path.join(out, "criterion.csv"), "w") as fh:
-        fh.write(report.csv_header() + "\n")
-        fh.write(report.csv_row() + "\n")
+    report.write_csv(os.path.join(out, "criterion.csv"))
     grid.write_field(os.path.join(out, "lambda_minimizer.sfld"), lam.minimizer)
     grid.write_field(os.path.join(out, "p_maximizer.sfld"), big.minimizer)
     print(
@@ -358,9 +362,7 @@ def _cmd_steady(args):
     st = _make_steady(args, basis)
     grid.write_field(os.path.join(out, "psi_bar.sfld"), st.psi_bar)
     grid.write_field(os.path.join(out, "omega_bar.sfld"), st.omega_bar)
-    with open(os.path.join(out, "steady.csv"), "w") as fh:
-        fh.write(st.csv_header() + "\n")
-        fh.write(st.csv_row() + "\n")
+    st.write_csv(os.path.join(out, "steady.csv"))
     print(
         "steady: residual %.3e, psi in [%g, %g], mass %g, certified %s"
         % (st.residual_pde, st.psi_min, st.psi_max, st.mass, st.certified)
@@ -461,9 +463,8 @@ def _cmd_oracle(args):
         ("lambda_Y", oracle.radial_eigen(rp, "lambda_Y")),
         ("lambda_dirichlet", oracle.radial_eigen(rp, "dirichlet")),
     ]
-    print("name,value")
-    for name, val in rows:
-        print("%s,%s" % (name, repr(val)))
+    for cells in [("name", "value"), *rows]:
+        print(grid.csv_line(cells))
     return []
 
 

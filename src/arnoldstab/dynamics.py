@@ -16,7 +16,7 @@ histogram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import astuple, dataclass, field as dfield, fields, replace
 
 import numpy as np
 from scipy import ndimage
@@ -103,10 +103,7 @@ class DiagnosticsSeries:
     init_dist: float = 0.0
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(float(c)) for c in row) + "\n")
+        g.write_csv(path, self.columns, self.rows)
 
     def column(self, name):
         i = self.columns.index(name)
@@ -532,24 +529,7 @@ class ExperimentReport:
     t_final: float
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(
-                "mode,amplitude,b_offset,seed,init_dist,sup_dist,ratio,noise_rel\n"
-            )
-            for r in self.rows:
-                fh.write(
-                    "%s,%s,%s,%d,%s,%s,%s,%s\n"
-                    % (
-                        r.mode,
-                        repr(r.amplitude),
-                        repr(r.b_offset),
-                        r.seed,
-                        repr(r.init_dist),
-                        repr(r.sup_dist),
-                        repr(r.ratio),
-                        repr(r.noise_rel),
-                    )
-                )
+        g.write_csv(path, [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
 
     def monotone_in_amplitude(self, mode: str) -> bool:
         rows = sorted(

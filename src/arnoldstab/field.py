@@ -146,7 +146,10 @@ class CondensedSystem:
         n = self.K.shape[0]
         shift = sparse.diags(np.concatenate([d, np.zeros(self.n)]), format="csc")
         precond = LinearOperator((n, n), matvec=self._lu_K.solve, dtype=float)
-        z, _ = minres(self.K - shift, rhs, M=precond, rtol=0.0, maxiter=_MINRES_CAP)
+        # an overflowing d makes z non-finite, which fails the caller's
+        # certificate; minres need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, _ = minres(self.K - shift, rhs, M=precond, rtol=0.0, maxiter=_MINRES_CAP)
         return z
 
     def solve_stream(self, omega_int, a):

@@ -577,7 +577,7 @@ def label_components(mask, h: float = 1.0, origin=(0.0, 0.0)) -> GridDomain:
     return GridDomain(kinds, h, origin=origin)
 
 
-# -- field file and mask I/O ------------------------------------------------------
+# -- field file, table and mask I/O -----------------------------------------------
 
 _MAGIC = b"SFLD"
 
@@ -591,6 +591,30 @@ def write_field(path, f: ScalarField) -> None:
         fh.write(struct.pack("<ddd", dom.h, dom.origin[0], dom.origin[1]))
         fh.write(dom.kinds.astype("<u1").tobytes(order="C"))
         fh.write(f.values.astype("<f8").tobytes(order="C"))
+
+
+def _csv_cell(c) -> str:
+    if isinstance(c, (bool, np.bool_)):
+        return str(int(c))
+    if isinstance(c, (float, np.floating)):
+        return repr(float(c))
+    return str(c)
+
+
+def csv_line(cells) -> str:
+    """One CSV line without its newline: booleans as 0/1, floats by repr
+    (which round-trips bit for bit), anything else by str.  Nothing is
+    quoted; a cell that needs quotes is passed as a quoted string."""
+    return ",".join(_csv_cell(c) for c in cells)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Table file: a header line of column names, then one `csv_line` per
+    row, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write(csv_line(columns) + "\n")
+        for row in rows:
+            fh.write(csv_line(row) + "\n")
 
 
 def read_field(path, domain: GridDomain | None = None) -> ScalarField:

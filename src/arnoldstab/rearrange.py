@@ -52,18 +52,7 @@ class ProbeReport:
     rows: list = dfield(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_cell(c) for c in row) + "\n")
-
-
-def _cell(c):
-    if isinstance(c, (bool, np.bool_)):
-        return str(int(c))
-    if isinstance(c, (float, np.floating)):
-        return repr(float(c))
-    return str(c)
+        g.write_csv(path, self.columns, self.rows)
 
 
 # proposals drawn per call of the generator: a block of pairs is the same
@@ -194,6 +183,15 @@ def histogram_distance(w1: g.ScalarField, w2: g.ScalarField, bins: int | None = 
     return float(np.abs(h1 - h2c).sum()) * h2
 
 
+def _transpositions(w: g.ScalarField, seed: int):
+    """Every single transposition of the interior cell values of w."""
+    for i, j in combinations(w.domain.interior_ids, 2):
+        vals = w.values.copy()
+        vals[i], vals[j] = vals[j], vals[i]
+        wt = g.ScalarField(w.domain, vals)
+        yield RearrangementSample(wt, g.lp_norm(wt - w), 1, seed)
+
+
 def local_max_probe(
     basis,
     state,
@@ -223,31 +221,18 @@ def local_max_probe(
     max_excess = -math.inf
     clean = 0.0
     if exhaustive:
-        ii = dom.interior_ids
-        for i, j in combinations(range(len(ii)), 2):
-            vals = wbar.values.copy()
-            vals[ii[i]], vals[ii[j]] = vals[ii[j]], vals[ii[i]]
-            w = g.ScalarField(dom, vals)
-            dist = g.lp_norm(w - wbar)
-            e = energy(basis, w, state.a)
-            de = e - e0
-            bad = de > tol and dist > 0
-            violations += bad
-            max_excess = max(max_excess, de)
-            if not bad:
-                clean = max(clean, dist)
-            rows.append((seed, 1, dist, e, de, bad))
+        samples = _transpositions(wbar, seed)
     else:
-        for t in range(n_samples):
-            smp = swaps_within_radius(wbar, radius, seed + t)
-            e = energy(basis, smp.w, state.a)
-            de = e - e0
-            bad = de > tol and smp.distance_lp > 0
-            violations += bad
-            max_excess = max(max_excess, de)
-            if not bad:
-                clean = max(clean, smp.distance_lp)
-            rows.append((seed + t, smp.swap_count, smp.distance_lp, e, de, bad))
+        samples = (swaps_within_radius(wbar, radius, seed + t) for t in range(n_samples))
+    for smp in samples:
+        e = energy(basis, smp.w, state.a)
+        de = e - e0
+        bad = de > tol and smp.distance_lp > 0
+        violations += bad
+        max_excess = max(max_excess, de)
+        if not bad:
+            clean = max(clean, smp.distance_lp)
+        rows.append((smp.seed, smp.swap_count, smp.distance_lp, e, de, bad))
     return ProbeReport(
         kind="exhaustive" if exhaustive else "local_max",
         seed=seed,

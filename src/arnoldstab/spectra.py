@@ -38,6 +38,11 @@ _KRYLOV_STEP = 5
 _KRYLOV_CAP = 60
 _BREAKDOWN = 1e-12
 
+# relative residual bound of an eigen-solve, which is also how far below zero
+# a verdict's quadratic form may fall; and the slack of its slope-sign check
+_EIG_TOL = 1e-8
+_MARGIN_TOL = 1e-6
+
 
 @dataclass
 class SpectralResult:
@@ -80,36 +85,25 @@ class CriterionReport:
     def arnold_ok(self) -> bool:
         return self.arnold_min_ok and self.arnold_max_ok
 
-    def csv_header(self):
-        return (
-            "lambda_h,Lambda_h,lambda_Lambda_minus_1,mu_min,delta0,"
-            "gprime_min,gprime_max,arnold_min_ok,arnold_max_ok,"
-            "criterion_min_ok,criterion_quadform_ok,criterion_ok,arnold_ok,"
-            "trivial_branch,tol_eig,tol_margin"
-        )
-
-    def csv_row(self):
+    def write_csv(self, path):
+        """One-row criterion table; Lambda_h = 1/lambda_h is derived here."""
         lam = self.lambda_h
         Lam = 1.0 / lam if lam else float("nan")
-        vals = [
-            repr(lam),
-            repr(Lam),
-            repr(lam * Lam - 1.0),
-            repr(self.mu_min),
-            repr(self.delta0),
-            repr(self.gprime_min),
-            repr(self.gprime_max),
-            str(int(self.arnold_min_ok)),
-            str(int(self.arnold_max_ok)),
-            str(int(self.criterion_min_ok)),
-            str(int(self.criterion_quadform_ok)),
-            str(int(self.criterion_ok)),
-            str(int(self.arnold_ok)),
-            str(int(self.trivial_branch)),
-            repr(self.tol_eig),
-            repr(self.tol_margin),
-        ]
-        return ",".join(vals)
+        g.write_csv(
+            path,
+            (
+                "lambda_h", "Lambda_h", "lambda_Lambda_minus_1", "mu_min", "delta0",
+                "gprime_min", "gprime_max", "arnold_min_ok", "arnold_max_ok",
+                "criterion_min_ok", "criterion_quadform_ok", "criterion_ok", "arnold_ok",
+                "trivial_branch", "tol_eig", "tol_margin",
+            ),
+            [(
+                lam, Lam, lam * Lam - 1.0, self.mu_min, self.delta0,
+                self.gprime_min, self.gprime_max, self.arnold_min_ok, self.arnold_max_ok,
+                self.criterion_min_ok, self.criterion_quadform_ok, self.criterion_ok,
+                self.arnold_ok, self.trivial_branch, self.tol_eig, self.tol_margin,
+            )],
+        )
 
 
 class _Krylov:
@@ -150,14 +144,17 @@ class _Davidson(_Krylov):
             self._append(self.solve(residual))
 
 
-def _lowest_eig(basis, apply, tol):
+# an overflowing potential turns the Rayleigh-Ritz matrix or the residual
+# non-finite, which raises `ConvergenceError`; numpy need not warn first
+@np.errstate(over="ignore", invalid="ignore")
+def _lowest_eig(basis, apply):
     """Smallest eigenpair of the symmetric operator `apply`, by Rayleigh-Ritz
     on a `_Krylov` or `_Davidson` basis.
 
     V^T apply V is accumulated one column per basis vector; the smallest
     Ritz pair is certified by the residual r of the Rayleigh quotient mu of
-    `apply` at the unit Ritz vector x, ||apply x - mu x|| <= tol * max(1,
-    |mu|), and until it passes the basis grows, given r, by up to
+    `apply` at the unit Ritz vector x, ||apply x - mu x|| <= _EIG_TOL *
+    max(1, |mu|), and until it passes the basis grows, given r, by up to
     `_KRYLOV_STEP` vectors.  Only the vectors a pair needs are read, so a
     pair from a longer cached basis equals that of a fresh one.  A
     non-finite entry of V^T apply V or r raises `ConvergenceError` at once.
@@ -187,7 +184,7 @@ def _lowest_eig(basis, apply, tol):
         mu = float(x @ ax)
         r = ax - mu * x
         res = float(np.linalg.norm(r))
-        if res <= tol * max(1.0, abs(mu)):
+        if res <= _EIG_TOL * max(1.0, abs(mu)):
             return mu, x, size - 1, res
         if not np.isfinite(res) or size == _KRYLOV_CAP or (size == len(vs) and basis.exhausted):
             raise ConvergenceError(
@@ -240,7 +237,7 @@ def _result_from_interior(basis, value, u, iters, res):
     return SpectralResult(value, fld, flux, iters, res)
 
 
-def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
+def lambda_c(basis, c) -> SpectralResult:
     """Smallest value of (grad energy + int c u^2) / int u^2 over the
     constrained space, with its minimizer."""
     sys = basis.system
@@ -248,21 +245,20 @@ def lambda_c(basis, c, tol: float = 1e-8) -> SpectralResult:
         c_int = np.full(sys.n_int, float(c))
     else:
         c_int = c.values[basis.domain.interior_ids]
-    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int), tol)
+    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int))
     return _result_from_interior(basis, val, u, iters, res)
 
 
-def lambda_plain(basis, tol: float = 1e-8) -> SpectralResult:
+def lambda_plain(basis) -> SpectralResult:
     """Smallest Rayleigh quotient of the Dirichlet energy, cached with the
     domain's other spectral data in `CondensedSystem.cache`."""
     cache = basis.system.cache
-    key = ("lambda_plain", tol)
-    if key not in cache:
-        cache[key] = lambda_c(basis, 0.0, tol)
-    return cache[key]
+    if "lambda_plain" not in cache:
+        cache["lambda_plain"] = lambda_c(basis, 0.0)
+    return cache["lambda_plain"]
 
 
-def lambda_big(basis, tol: float = 1e-8) -> SpectralResult:
+def lambda_big(basis, tol: float = _EIG_TOL) -> SpectralResult:
     """Largest eigenvalue of the circulation-free inverse Laplacian in the
     interior L2 inner product, by power iteration; reciprocal of lambda."""
     sys = basis.system
@@ -294,7 +290,7 @@ def lambda_big(basis, tol: float = 1e-8) -> SpectralResult:
     return SpectralResult(lam, fld, flux, it, res)
 
 
-def check_stability(basis, state, tol_eig: float = 1e-8, tol_margin: float = 1e-6) -> CriterionReport:
+def check_stability(basis, state) -> CriterionReport:
     """Evaluate the stability criteria for a certified steady state.
 
     Weak criterion: slope of the vorticity profile nonnegative everywhere and
@@ -306,11 +302,11 @@ def check_stability(basis, state, tol_eig: float = 1e-8, tol_margin: float = 1e-
     gp_all = state.g.deriv(state.psi_bar.values)
     gp_min = float(gp_all.min())
     gp_max = float(gp_all.max())
-    lam = lambda_plain(basis, tol_eig).value
+    lam = lambda_plain(basis).value
 
     gp_int = gp_all[dom.interior_ids]
-    mu = lambda_c(basis, g.ScalarField(dom, -gp_all), tol_eig).value
-    delta0 = weak_pos_def(basis, state, tol_eig)
+    mu = lambda_c(basis, g.ScalarField(dom, -gp_all)).value
+    delta0 = weak_pos_def(basis, state)
     gamma = float(gp_int.sum()) * dom.h * dom.h
     trivial = gamma <= 1e-12 * dom.area * max(1.0, abs(gp_max))
 
@@ -322,15 +318,18 @@ def check_stability(basis, state, tol_eig: float = 1e-8, tol_margin: float = 1e-
         gprime_max=gp_max,
         arnold_min_ok=gp_min > 0.0,
         arnold_max_ok=gp_max < lam,
-        criterion_min_ok=gp_min >= -tol_margin,
-        criterion_quadform_ok=mu >= -tol_eig,
+        criterion_min_ok=gp_min >= -_MARGIN_TOL,
+        criterion_quadform_ok=mu >= -_EIG_TOL,
         trivial_branch=trivial,
-        tol_eig=tol_eig,
-        tol_margin=tol_margin,
+        tol_eig=_EIG_TOL,
+        tol_margin=_MARGIN_TOL,
     )
 
 
-def weak_pos_def(basis, state, tol: float = 1e-8) -> float:
+# an overflowing slope makes the weight's mass non-finite, and `_lowest_eig`
+# raises on the operator it builds
+@np.errstate(over="ignore", invalid="ignore")
+def weak_pos_def(basis, state) -> float:
     """Coercivity margin delta0 of the criterion quadratic form augmented by
     its rank-one mean correction.
 
@@ -348,4 +347,4 @@ def weak_pos_def(basis, state, tol: float = 1e-8) -> float:
     if gamma > 1e-12 * dom.area * max(1.0, float(np.abs(gp).max(initial=0.0))):
         rho = h2 * h2 / gamma / h2  # quadratic-form weight over the unit mass
         rank_one = (rho, gp.astype(float))
-    return _lowest_eig(*_condensed(sys, -gp.astype(float), rank_one), tol)[0]
+    return _lowest_eig(*_condensed(sys, -gp.astype(float), rank_one))[0]

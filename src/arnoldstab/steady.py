@@ -44,21 +44,15 @@ class SteadyState:
     certified: bool
     iterations: int = 0
 
-    def csv_header(self):
-        return "residual_pde,psi_min,psi_max,mass,certified,iterations," + ",".join(
-            "flux_err_%d" % (k + 1) for k in range(len(self.flux_errors))
+    def write_csv(self, path):
+        """One-row table of the certificate and the range of psi_bar."""
+        g.write_csv(
+            path,
+            ("residual_pde", "psi_min", "psi_max", "mass", "certified", "iterations")
+            + tuple("flux_err_%d" % (k + 1) for k in range(len(self.flux_errors))),
+            [(self.residual_pde, self.psi_min, self.psi_max, self.mass, self.certified,
+              self.iterations, *self.flux_errors)],
         )
-
-    def csv_row(self):
-        cells = [
-            repr(self.residual_pde),
-            repr(self.psi_min),
-            repr(self.psi_max),
-            repr(self.mass),
-            str(int(self.certified)),
-            str(self.iterations),
-        ] + [repr(float(e)) for e in self.flux_errors]
-        return ",".join(cells)
 
 
 def _certify(psi: g.ScalarField, omega: g.ScalarField, av, gf, iterations):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import pytest
 
@@ -162,6 +163,16 @@ def test_functional_subcommand(tmp_path):
     assert len(rows) == 4
     dhat_mu = float(rows[3].split(",")[2])
     assert abs(dhat_mu) < 10.0
+
+
+def test_functional_csv_appends_rows(tmp_path):
+    """A second run into the same directory adds its row under the one header."""
+    out = tmp_path / "fn"
+    for _ in range(2):
+        assert run_cli("functional", *BASE, "--functional", "E", "--kappa", "1", "--out", str(out)) == 0
+    header, first, second = (out / "functional.csv").read_bytes().split(b"\n")[:-1]
+    assert header == b"functional,value,mu"
+    assert first == second and first.startswith(b"E,") and first.endswith(b",nan")
 
 
 def test_mask_domain_via_cli(tmp_path):
@@ -437,12 +448,19 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     [
         ("1e308", "Rayleigh-Ritz matrix is not finite"),
         ("1e200", "Rayleigh-Ritz left residual inf after 4 solves"),
+        ("1e150", "steady linear residual"),
+        ("-1e308", "Rayleigh-Ritz left residual inf after 4 solves"),
     ],
 )
 def test_non_finite_rayleigh_ritz_exits_3(kappa, message, tmp_path, capsys):
-    """A slope whose eigen-solve overflows is a solver error, raised at the
-    first Rayleigh-Ritz step, not a traceback or a run to the basis cap."""
-    assert run_cli("spectra", *BASE, "--kappa", kappa, "--out", str(tmp_path / "o")) == 3
+    """A slope that overflows the steady solve or its eigen-solve is a solver
+    error, raised by the certificate or at the first Rayleigh-Ritz step, not
+    a traceback or a run to the basis cap, and numpy and scipy warn of no
+    overflow before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("spectra", *BASE, "--kappa=" + kappa, "--out", str(tmp_path / "o"))
+    assert code == 3
     err = capsys.readouterr().err
     assert "solver error: %s" % message in err
     assert "Traceback" not in err

@@ -138,6 +138,33 @@ def test_field_file_roundtrip(tmp_path, annulus16, rng):
     assert attached.domain is dom
 
 
+@pytest.mark.parametrize(
+    "cell, text",
+    [
+        (np.float64(1.5), "1.5"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (math.nan, "nan"),
+        (-0.0, "-0.0"),
+        (math.inf, "inf"),
+        (np.bool_(True), "1"),
+        (np.bool_(False), "0"),
+        (True, "1"),
+        (np.int64(7), "7"),
+        ("swap", "swap"),
+    ],
+)
+def test_csv_cell(tmp_path, cell, text):
+    """One table cell, as `csv_line` and `write_csv` write it; every float
+    reads back bit for bit."""
+    assert grid.csv_line([cell, "end"]) == text + ",end"
+    path = tmp_path / "table.csv"
+    grid.write_csv(path, ("x", "y"), [(cell, "end")])
+    assert path.read_bytes() == b"x,y\n" + text.encode() + b",end\n"
+    if isinstance(cell, (float, np.floating)):
+        assert struct.pack("<d", float(text)) == struct.pack("<d", float(cell))
+
+
 def test_field_file_geometry_mismatch(tmp_path, annulus16, annulus32):
     path = tmp_path / "field.sfld"
     grid.write_field(path, annulus16.zeros())
