@@ -22,6 +22,7 @@ if _threads:
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -38,7 +39,15 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line like any other bad input: the usage,
-    then one `config error:` line, and exit status 2."""
+    then one `config error:` line, and exit status 2.
+
+    A token of a dash and a digit is a value, not an option, so negative
+    numbers with an exponent (`--kappa -1e3`) or in a list (`--a -1,2`) are
+    read like `--kappa -2`; no option of this parser starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -426,6 +426,59 @@ def supporting_d_s(basis, w: g.ScalarField, a, gf: GFunc, s: float, m: float) ->
 
 # largest |s| the bracket of `solve_mu` may reach
 _MU_SPAN_CAP = 2.0**20
+# secant steps of `solve_mu` before its bisection, and the relative width of
+# the signed bracket at which they stop
+_MU_SECANT_STEPS = 12
+_MU_SECANT_TOL = 2.5e-15
+
+
+def _signed_bracket(fval, a, fa, b, fb):
+    """Points p < q with fval(p) > 0 > fval(q), found by Illinois secant steps
+    from a bracket a < b with fa >= 0 >= fb, and as close together as the
+    rounding of fval allows within _MU_SECANT_STEPS evaluations.  An end
+    whose value is not strictly signed is returned as an infinity."""
+    side = 0
+    for _ in range(_MU_SECANT_STEPS):
+        width = _MU_SECANT_TOL * max(1.0, abs(a), abs(b))
+        if not fa > 0.0 > fb or b - a <= width:
+            break
+        s = b - fb * ((b - a) / (fb - fa))
+        # the computed residual is a staircase: a step that would stay on the
+        # stair of an end, or leave the bracket, moves width/2 inside instead
+        s = min(max(s, a + 0.5 * width), b - 0.5 * width)
+        fs = fval(s)
+        if fs > 0.0:
+            a, fa = s, fs
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        elif fs < 0.0:
+            b, fb = s, fs
+            if side < 0:
+                fa *= 0.5
+            side = -1
+        elif fs == 0.0:
+            # s solves the equation as computed, and so may a stair around
+            # it: step out from s, eightfold each time, until each side is
+            # signed (the bisection then has few midpoints left to evaluate)
+            a = _step_out(fval, s, a, -width)
+            b = _step_out(fval, s, b, width)
+            break
+        else:
+            break
+    return (a if fa > 0.0 else -math.inf), (b if fb < 0.0 else math.inf)
+
+
+def _step_out(fval, s, end, d):
+    """The first of s + d, s + 8d, s + 64d, ... short of `end` whose residual
+    is strictly signed (positive below s, negative above), else `end`."""
+    t = s + d
+    while end < t < s or s < t < end:
+        if math.copysign(1.0, d) * fval(t) < 0.0:
+            return t
+        d *= 8.0
+        t = s + d
+    return end
 
 
 def solve_mu(domain, psi_w_interior, gf: GFunc, m: float):
@@ -434,6 +487,15 @@ def solve_mu(domain, psi_w_interior, gf: GFunc, m: float):
     The map s -> int g(psi_w - s) is nonincreasing and covers the line thanks
     to the linear tails, so a sign change exists; the bracket is auto-expanded
     by doubling up to _MU_SPAN_CAP.
+
+    For linear and affine profiles of slope >= 0 the residual is
+    nonincreasing in s also as computed: fl(psi_i - s), fl(k x), fl(x + b),
+    numpy's pairwise sum (whose association does not depend on the values),
+    the product with h^2 and the subtraction of m are each monotone.  So
+    once secant steps have found p < q with residual > 0 at p and < 0 at q,
+    the bisection knows the sign at every midpoint outside (p, q) without
+    evaluating it, and returns the same mu as evaluating every midpoint.
+    Other profiles evaluate every midpoint.
     """
     h2 = domain.h * domain.h
 
@@ -452,9 +514,17 @@ def solve_mu(domain, psi_w_interior, gf: GFunc, m: float):
         f_lo = fval(-span)
         f_hi = fval(span)
     lo, hi = -span, span
+    p, q = -math.inf, math.inf
+    if gf.kind in ("linear", "affine") and gf.slope >= 0.0:
+        p, q = _signed_bracket(fval, lo, f_lo, hi, f_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fval(mid)
+        if mid <= p:
+            fm = 1.0
+        elif mid >= q:
+            fm = -1.0
+        else:
+            fm = fval(mid)
         if fm >= 0.0:
             lo = mid
         if fm <= 0.0:

@@ -331,33 +331,92 @@ def as_circulation(a, domain):
 # -- discrete calculus ---------------------------------------------------------
 
 
-# values per pass of `_exact_sum`: at most 2^26 integers of magnitude at most
-# 2^27 (times a power of two) sum exactly, in any order, in float64
-_SUM_CHUNK = 1 << 26
-# adding and subtracting it rounds an integer below 2^53 to a multiple of 2^26
-_SPLIT = 1.5 * 2.0**78
+# values per chunk of `_exact_sum`: 2^16 multiples of 2^q, each at most
+# 2^(q+36) in magnitude, sum exactly in float64 in any order
+_SUM_CHUNK = 1 << 16
+# bits peeled off per extraction level, and the levels tried before falling
+# back to the exponent bins of `_exact_sum_bins`
+_LEVEL_BITS = 36
+_MAX_LEVELS = 4
+# largest level exponent q: above it the rounding constant 1.5 * 2^(q+52)
+# overflows
+_Q_MAX = 1023 - 52
 
 
 def _exact_sum(values) -> float:
     """Exactly rounded sum of float64 values, equal to math.fsum bit for bit.
+
+    Each chunk of at most 2^16 values r is split by error-free extraction
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008).  With 2^e above
+    the chunk's largest magnitude, level j = 1, 2, ... takes q = e - 36 j and
+    c = 1.5 * 2^(q+52); then hi = (r + c) - c is r rounded to a multiple of
+    2^q (below q = -1074, where c is subnormal or zero, hi = r), and r -= hi
+    is exact and leaves |r| <= 2^(q-1).  Every hi is a multiple of 2^q of
+    magnitude at most 2^(q+36), so every partial sum of a chunk's hi is a
+    multiple of 2^q below 2^(q+52) in magnitude: np.sum(hi) is exact
+    whatever order it adds in.  The levels stop when r is all zero,
+    and math.fsum rounds the exact level sums once.  A correctly rounded sum
+    is unique, so the result does not depend on the order of the values.
+
+    A chunk that needs more than _MAX_LEVELS levels (a span of more than
+    144 bits), magnitudes of 2^1007 and up, and an intermediate overflow of
+    math.fsum all fall back to `_exact_sum_bins`.  Non-finite values give
+    their IEEE sum; finite values whose exact sum lies beyond the float range
+    raise OverflowError, as math.fsum does.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    chunks = [x[i : i + _SUM_CHUNK] for i in range(0, x.size, _SUM_CHUNK)]
+    # a NaN or an infinity makes its chunk's top non-finite
+    tops = [max(float(r.max()), -float(r.min())) for r in chunks]
+    if not all(map(math.isfinite, tops)):
+        return float(x[~np.isfinite(x)].sum())
+    parts = []
+    for r, top in zip(chunks, tops):
+        if top == 0.0:
+            continue
+        e = math.frexp(top)[1]
+        if e - _LEVEL_BITS > _Q_MAX:
+            return _exact_sum_bins(x)
+        r = r.copy()
+        hi = np.empty_like(r)
+        for j in range(1, _MAX_LEVELS + 1):
+            q = e - _LEVEL_BITS * j
+            c = math.ldexp(1.5, q + 52)
+            np.add(r, c, out=hi)
+            hi -= c
+            r -= hi
+            parts.append(float(hi.sum()))
+            if not r.any():
+                break
+        else:
+            return _exact_sum_bins(x)
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        return _exact_sum_bins(x)
+
+
+# values per pass of `_exact_sum_bins`: at most 2^26 integers of magnitude at
+# most 2^27 (times a power of two) sum exactly, in any order, in float64
+_BIN_CHUNK = 1 << 26
+# adding and subtracting it rounds an integer below 2^53 to a multiple of 2^26
+_SPLIT = 1.5 * 2.0**78
+
+
+def _exact_sum_bins(x) -> float:
+    """Exactly rounded sum of finite float64 values, by exponent bins.
 
     np.frexp turns each value into an integer M below 2^53 and an exponent e,
     x = M * 2^(e-53).  M is split into a multiple of 2^26 with at most 27
     significant bits and a remainder below 2^25, and each part is summed per
     exponent with np.bincount.  Those sums are exact, so the few nonzero
     exponent bins are added as Python integers over the common denominator
-    2^1126 and rounded once by integer true division.  The result does not
-    depend on the order of the values.  Non-finite values give their IEEE
-    sum; finite values whose exact sum lies beyond the float range raise
-    OverflowError, as math.fsum does.
+    2^1126 and rounded once by integer true division.  Slower than the
+    extraction levels of `_exact_sum`, but good for any span of exponents.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    bad = ~np.isfinite(x)
-    if bad.any():
-        return float(x[bad].sum())
     num = 0
-    for start in range(0, x.size, _SUM_CHUNK):
-        mant, expo = np.frexp(x[start : start + _SUM_CHUNK])
+    for start in range(0, x.size, _BIN_CHUNK):
+        mant, expo = np.frexp(x[start : start + _BIN_CHUNK])
         mant *= 2.0**53
         hi = (mant + _SPLIT) - _SPLIT
         lo = mant - hi

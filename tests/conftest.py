@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ def rng():
     return np.random.default_rng(20240801)
 
 
+def same_float(a, b):
+    """Equal as floats and of the same sign, so 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def random_interior_field(dom, rng, scale=1.0):
     vals = np.where(dom.is_interior, rng.standard_normal(dom.n_nodes) * scale, 0.0)
     return grid.ScalarField(dom, vals)
@@ -63,3 +70,32 @@ def tanh_profile(lam):
     """The 2001-knot table g = (lambda/2)(0.8 s + 0.2 tanh 2s)."""
     knots = np.linspace(-3.0, 3.0, 2001)
     return GFunc.tabulated(knots, 0.5 * lam * (0.8 * knots + 0.2 * np.tanh(2 * knots)))
+
+
+def plain_bisection_mu(domain, psi_w_interior, gf, m):
+    """The shift equation int g(psi_w - mu) = m solved by the plain bisection
+    that evaluates every midpoint: the reference for `solve_mu`."""
+    h2 = domain.h * domain.h
+
+    def fval(s):
+        return float(np.sum(gf(psi_w_interior - s))) * h2 - float(m)
+
+    span = 1.0
+    f_lo = fval(-span)
+    f_hi = fval(span)
+    while f_lo < 0.0 or f_hi > 0.0:
+        span *= 2.0
+        assert span <= 2.0**20, "no sign change"
+        f_lo = fval(-span)
+        f_hi = fval(span)
+    lo, hi = -span, span
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fval(mid)
+        if fm >= 0.0:
+            lo = mid
+        if fm <= 0.0:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)

@@ -331,6 +331,37 @@ def test_config_values_reach_handler(tmp_path, monkeypatch):
     assert [seen[k] for k in ("csv", "x", "ys", "svg")] == ["s.csv", "t", "energy,kinetic", "e.svg"]
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, key, value",
+    [
+        ("gen", "--kappa", "-2", "kappa", -2.0),
+        ("gen", "--kappa", "-1e3", "kappa", -1000.0),
+        ("gen", "--kappa", "-2E-1", "kappa", -0.2),
+        ("gen", "--kappa", "-.5e+1", "kappa", -5.0),
+        ("gen", "--a", "-1e3", "a", (-1000.0,)),
+        ("gen", "--a", "-1,2e-1", "a", (-1.0, 0.2)),
+        ("gen", "--b-offset", "-1.5e-2", "b_offset", -0.015),
+        ("functional", "--s", "-3e-1", "s", -0.3),
+        ("functional", "--m", "-4E2", "m", -400.0),
+    ],
+)
+def test_negative_number_is_a_value(command, flag, text, key, value, tmp_path, monkeypatch):
+    """A negative number is read as the option's value, with or without an
+    exponent, in a list, and with the value after a space or after `=`."""
+    for argv in ([flag, text], [flag + "=" + text]):
+        seen = _capture(monkeypatch, command)
+        assert run_cli(command, *argv, "--out", str(tmp_path / "o")) == 0
+        assert seen[key] == value
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "1"], ["--kappa", "-1x"], ["--kappa", "-e3"]])
+def test_dash_token_still_checked(argv, tmp_path, capsys):
+    """An unknown flag, a malformed negative number, and a dash with no digit
+    after it are still configuration errors."""
+    assert _exit_code("gen", *argv, "--out", str(tmp_path / "o")) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_explicit_flag_beats_config(tmp_path, monkeypatch):
     seen = _capture(monkeypatch, "simulate")
     cfg = _config(tmp_path, "cadence = 2\nsnap_every = 2\ncfl = 0.3\n")

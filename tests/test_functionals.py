@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from arnoldstab import field, functionals as fn, grid
 from arnoldstab.errors import GridError
 
-from conftest import random_interior_field
+from conftest import plain_bisection_mu, random_interior_field, same_float
 
 
 # -- profiles and extension -----------------------------------------------------
@@ -332,3 +333,99 @@ def test_functionals_equal_direct_formulas_exactly(basis32, stable_state32):
                 assert fn.supporting_d_s(basis32, w, a, st.g, s, st.mass) == ds
             dhat = _d_hat_direct(basis32, w, a, st.g, st.mass)
             assert fn.supporting_d_hat(basis32, w, a, st.g, st.mass) == dhat
+
+
+# -- the shift equation against the plain bisection -------------------------------
+
+
+def _mu_case(seed):
+    """psi values, a cell-size stand-in, a linear or affine profile and a mass
+    drawn from one seed: sizes 5 to 5,000, scales 1e-6 to 1e3, ties, m = 0,
+    and masses whose shift is exactly 0."""
+    rng = np.random.default_rng([20240801, seed])
+    n = int(rng.choice([5, 17, 100, 1000, 5000]))
+    scale = 10.0 ** rng.uniform(-6.0, 3.0)
+    psi = (rng.standard_normal(n) + rng.uniform(-2.0, 2.0) * (seed % 2)) * scale
+    if seed % 5 == 0:
+        psi = np.round(psi / scale * 3.0) * scale / 3.0  # many tied values
+    if seed % 11 == 0:
+        psi = np.full(n, psi[0])
+    dom = SimpleNamespace(h=10.0 ** rng.uniform(-3.0, 0.0))
+    slope = 10.0 ** rng.uniform(-3.0, 3.0)
+    if seed % 3:
+        gf = fn.GFunc.linear(slope)
+    else:
+        gf = fn.GFunc.affine(slope, rng.standard_normal() * scale)
+    m = float(rng.standard_normal() * slope * scale * n * dom.h**2)
+    if seed % 4 == 0:
+        m = 0.0
+    if seed % 13 == 0:
+        m = float(np.sum(gf(psi))) * dom.h**2
+    return dom, psi, gf, m
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_solve_mu_equals_plain_bisection(block):
+    """Linear and affine profiles skip the midpoints whose sign is known and
+    still return the plain bisection's mu bit for bit."""
+    for seed in range(100 * block, 100 * (block + 1)):
+        dom, psi, gf, m = _mu_case(seed)
+        want = plain_bisection_mu(dom, psi, gf, m)
+        assert same_float(fn.solve_mu(dom, psi, gf, m), want), seed
+
+
+def _count_profile_calls(monkeypatch):
+    calls = []
+    inner = fn.GFunc.__call__
+
+    def counted(self, s):
+        calls.append(1)
+        return inner(self, s)
+
+    monkeypatch.setattr(fn.GFunc, "__call__", counted)
+    return calls
+
+
+def test_solve_mu_nonlinear_profiles_evaluate_every_midpoint(monkeypatch):
+    """Tabulated and extended profiles take the plain bisection, every
+    midpoint evaluated."""
+    knots = np.linspace(-3.0, 3.0, 201)
+    table = fn.GFunc.tabulated(knots, 0.8 * knots + 0.2 * np.tanh(2.0 * knots))
+    flat = fn.extend_g(fn.GFunc.linear(0.0), -1.0, 1.0)
+    psi = np.random.default_rng(3).uniform(-1.5, 1.5, 400)
+    dom = SimpleNamespace(h=0.05)
+    calls = _count_profile_calls(monkeypatch)
+    for gf in (table, flat):
+        for m in (0.0, 0.3):
+            calls.clear()
+            mu = fn.solve_mu(dom, psi, gf, m)
+            n_new = len(calls)
+            calls.clear()
+            assert mu == plain_bisection_mu(dom, psi, gf, m)
+            assert n_new == len(calls) >= 40
+
+
+def test_solve_mu_evaluations_on_supporting_samples(monkeypatch, basis32, stable_state32):
+    """On every supporting sample of the res-32 steady state the shift
+    equation takes at most 15 profile evaluations (the plain bisection
+    takes about 50)."""
+    from arnoldstab import rearrange
+
+    st = stable_state32
+    gext = fn.extend_g(st.g, st.psi_min, st.psi_max)
+    lp = fn.legendre(gext)
+    calls = _count_profile_calls(monkeypatch)
+    per_call = []
+    inner = fn.solve_mu
+
+    def counted(*args):
+        start = len(calls)
+        mu = inner(*args)
+        per_call.append(len(calls) - start)
+        return mu
+
+    monkeypatch.setattr(fn, "solve_mu", counted)
+    for seed in (1, 2, 3):
+        rearrange.supporting_probe(basis32, st, gext, 10, seed, lp)
+    assert len(per_call) == 33
+    assert max(per_call) <= 15

@@ -8,7 +8,7 @@ import pytest
 from arnoldstab import grid
 from arnoldstab.errors import GridError
 
-from conftest import random_interior_field
+from conftest import random_interior_field, same_float
 
 
 def test_annulus_interior_count_matches_area(annulus32):
@@ -86,6 +86,114 @@ def test_integrate_linear_and_monotone(annulus32, rng):
     assert abs(lin) < 1e-12 * max(1.0, abs(grid.integrate(f)))
     bigger = grid.ScalarField(dom, f.values + np.where(dom.is_interior, 0.5, 0.0))
     assert grid.integrate(bigger) > grid.integrate(f)
+
+
+# -- the exactly rounded sum ---------------------------------------------------------
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    inner = grid._exact_sum_bins
+
+    def counted(x):
+        calls.append(x.size)
+        return inner(x)
+
+    monkeypatch.setattr(grid, "_exact_sum_bins", counted)
+    return calls
+
+
+_TINY = 5e-324
+_NORMAL_MIN = 2.2250738585072014e-308
+_SPAN_CASES = {
+    "empty": ([], False),
+    "zeros": ([0.0] * 7, False),
+    "negative-zeros": ([-0.0, -0.0, 0.0, -0.0], False),
+    "cancel-to-zero": ([1.5, -1.5, 2.0**-60, -(2.0**-60)], False),
+    "subnormals": ([_TINY, 3 * _TINY, -_TINY, 7 * _TINY], False),
+    "subnormal-and-normal": ([_NORMAL_MIN, -_TINY, 1e-300, _TINY], False),
+    "near-max": ([1.7e308, -1.7e308, 1e308], True),
+    "wide-span": ([1.0, 1e-50, -1e-50, 3e-60], True),
+    "144-bit-span": ([1.0, 2.0**-100, 2.0**-150], True),
+    "tie-rounding": ([1.0, 2.0**-53, 2.0**-106], False),
+    "mixed": ([1e6, -3.25, 0.1, 2.0**-70, -1e6], False),
+}
+
+
+@pytest.mark.parametrize("values, fallback", _SPAN_CASES.values(), ids=_SPAN_CASES.keys())
+def test_exact_sum_table(values, fallback, monkeypatch):
+    """Signed zeros, subnormals, cancellation and spans of exponents, with
+    the bins routine taking over only above 2^1007 or beyond four levels."""
+    want = math.fsum(values)
+    assert same_float(grid._exact_sum_bins(np.array(values, dtype=float)), want)
+    calls = _count_fallbacks(monkeypatch)
+    assert same_float(grid._exact_sum(values), want)
+    assert bool(calls) == fallback
+
+
+def test_exact_sum_overflow():
+    """A finite sum beyond the float range raises OverflowError like
+    math.fsum; one that only overflows part-way is rounded exactly, where
+    math.fsum gives up."""
+    for values in ([1e308, 1e308], [-1.7e308, -1.7e308, 1.0], [2.0**1006] * 2**18):
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            grid._exact_sum(values)
+    assert grid._exact_sum([1.7e308, 1.7e308, -1.7e308]) == 1.7e308
+    # four chunks of 2^1006 sum to 2^1024 before two chunks of -2^1006 arrive
+    parts = np.concatenate([np.full(2**18, 2.0**1006), np.full(2**17, -(2.0**1006))])
+    assert grid._exact_sum(parts) == 2.0**1023
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([1.0, math.nan], math.nan),
+        ([math.inf, 1.0, -3.0], math.inf),
+        ([2.0, -math.inf], -math.inf),
+        ([math.nan, math.inf], math.nan),
+    ],
+)
+def test_exact_sum_non_finite(values, want):
+    """Non-finite values give their IEEE sum."""
+    got = grid._exact_sum(values)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_exact_sum_opposite_infinities():
+    """inf + (-inf) is NaN, and numpy flags it as an invalid operation."""
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(grid._exact_sum([math.inf, -math.inf, 1.0]))
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_exact_sum_chunk_edges(n, monkeypatch):
+    """Chunks of 2^16 values meet exactly; ordinary data needs no fallback."""
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * np.exp2(rng.integers(-20, 20, n))
+    vals[-1] = 1e12  # the largest value sits in the last chunk
+    calls = _count_fallbacks(monkeypatch)
+    assert same_float(grid._exact_sum(vals), math.fsum(vals))
+    assert not calls
+    assert same_float(grid._exact_sum(vals[::-1]), math.fsum(vals))
+
+
+def test_exact_sum_seeded_fuzz():
+    """Log-uniform magnitudes over random exponent spans, with cancelling
+    pairs: the levels and the bins routine both equal math.fsum."""
+    rng = np.random.default_rng(20240801)
+    for case in range(600):
+        n = int(rng.choice([1, 2, 7, 100, 3000]))
+        lo, hi = sorted(rng.integers(-1074, 1000, 2).tolist())
+        if case % 2:
+            lo = max(lo, hi - 100)
+        vals = rng.choice([-1.0, 1.0], n) * np.exp2(rng.uniform(lo, hi, n))
+        vals = np.concatenate([vals, -vals[: int(rng.integers(0, n + 1))]])
+        rng.shuffle(vals)
+        want = math.fsum(vals)
+        assert same_float(grid._exact_sum(vals), want), case
+        assert same_float(grid._exact_sum_bins(vals), want), case
 
 
 def test_boundary_flux_constant_zero(annulus32):

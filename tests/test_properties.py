@@ -23,6 +23,8 @@ from hypothesis.extra import numpy as hnp
 from arnoldstab import grid, rearrange
 from arnoldstab.errors import GridError
 
+from conftest import same_float
+
 _SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -52,14 +54,10 @@ def sum_inputs(draw):
     return vals
 
 
-def _same_float(a, b):
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 @_SETTINGS
 @given(sum_inputs())
 def test_exact_sum_equals_fsum(vals):
-    assert _same_float(grid._exact_sum(vals), math.fsum(vals))
+    assert same_float(grid._exact_sum(vals), math.fsum(vals))
 
 
 @_SETTINGS
@@ -69,7 +67,7 @@ def test_exact_sum_equals_fsum_full_range(vals):
         want = math.fsum(vals)
     except OverflowError:
         assume(False)
-    assert _same_float(grid._exact_sum(vals), want)
+    assert same_float(grid._exact_sum(vals), want)
 
 
 # -- field files ------------------------------------------------------------------

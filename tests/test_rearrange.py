@@ -8,6 +8,8 @@ from arnoldstab import acceptance, field, functionals as fn, grid, harmonic
 from arnoldstab import rearrange as ra, spectra, steady
 from arnoldstab.errors import GridError
 
+from conftest import plain_bisection_mu
+
 
 def test_random_swaps_zero_is_identity(stable_state32):
     smp = ra.random_swaps(stable_state32.omega_bar, 0, 5)
@@ -345,18 +347,52 @@ def test_probe_rows_equal_one_call_per_functional(basis32, stable_state32, seed)
     assert sup.tol == 1e-6 * scale
 
 
+@pytest.fixture(scope="module")
+def supporting_states(two_hole_basis):
+    """Certified linear states on the res-24 annulus and on the two-hole mask."""
+    annulus = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 24))
+    out = {}
+    for name, basis, a in (("annulus24", annulus, [1.0]), ("two-holes", two_hole_basis, [0.5, 0.2])):
+        lam = spectra.lambda_plain(basis).value
+        out[name] = basis, steady.steady_linear(basis, 0.4 * lam, a)
+    return out
+
+
+@pytest.mark.parametrize("where", ["annulus24", "two-holes"])
+def test_supporting_rows_equal_per_sample_casimir_and_plain_bisection(
+    where, supporting_states, monkeypatch
+):
+    """The probe integrates the Casimir once and skips the bisection midpoints
+    of known sign; its rows equal a loop that integrates the Casimir of every
+    sample and evaluates every midpoint."""
+    basis, st = supporting_states[where]
+    gext, lp = _extended(st)
+    for seed in (5, 77):
+        sup = ra.supporting_probe(basis, st, gext, 8, seed, lp)
+        with monkeypatch.context() as mp:
+            mp.setattr(fn, "solve_mu", plain_bisection_mu)
+            rows, scale = _supporting_rows_oracle(basis, st, gext, 8, seed, lp)
+        assert sup.violations == 0
+        assert sup.rows == rows
+        assert sup.tol == 1e-6 * scale
+
+
 def test_probes_solve_once_per_sample(monkeypatch, basis32, stable_state32):
     st = stable_state32
     gext, lp = _extended(st)
     p_calls = _count_calls(monkeypatch, fn, "p_apply")
     solves = _count_calls(monkeypatch, field.CondensedSystem, "solve_stream")
     factors = _count_calls(monkeypatch, field, "_factor")
+    sums = _count_calls(monkeypatch, grid, "_exact_sum")
     n = 5
     rep = ra.supporting_probe(basis32, st, gext, n, 3, lp)
     # the steady vorticity (t = 0, which also sets the scale) and n samples
     assert rep.n_samples == n + 1
     assert len(p_calls) == n + 1
     assert len(solves) == n + 1
+    # one Casimir integral; per record int w Pw, int h_a w, D and Dhat; and
+    # the distance of each swapped sample
+    assert len(sums) == 1 + 4 * (n + 1) + n
     p_calls.clear()
     solves.clear()
     ra.local_max_probe(basis32, st, 0.1 * grid.lp_norm(st.omega_bar), n, 3)
