@@ -25,6 +25,7 @@ class CriterionResult:
     passed: bool
     details: dict = dfield(default_factory=dict)
     elapsed: float = 0.0
+    samples: list = dfield(default_factory=list)  # per-sample values behind details
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -293,6 +294,7 @@ def criterion_6(ctx):
     worst_gap = -math.inf
     rng_seed = ctx.seed
     n_samples = 30 if ctx.quick else 100
+    samples = []
     for t in range(n_samples):
         smp = rearrange.random_swaps(st.omega_bar, 1 + (5 * t) % 48, rng_seed + t)
         rec = functionals._Sample(basis, smp.w, st.a)
@@ -300,6 +302,7 @@ def criterion_6(ctx):
         dval = rec.d(gf)
         dhat, _ = rec.d_hat(gf, st.mass)
         ds = rec.d_s(gf, 0.37, st.mass)
+        samples.append((ec, dhat, dval, ds))
         gap = max(ec - dhat, dhat - dval, dhat - ds)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6 * scale:
@@ -317,7 +320,7 @@ def criterion_6(ctx):
         and abs(mu0) <= 1e-6
         and chain_viol == 0
     )
-    return CriterionResult(6, "energy-Casimir functional chain", ok, vals)
+    return CriterionResult(6, "energy-Casimir functional chain", ok, vals, samples=samples)
 
 
 def criterion_7(ctx):

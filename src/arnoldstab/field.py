@@ -9,9 +9,11 @@ is the only factorization the package makes.  The harmonic basis and the
 stream solves reuse it, and so does every eigenproblem: the one Lanczos
 basis of its inverse that `CondensedSystem.cache` keeps for a constant
 potential or a constant slope, and the Davidson basis it preconditions for a
-nonconstant potential (see `spectra`).  Every Newton step of a steady solve
-runs MINRES preconditioned by it on the matrix with a diagonal shift
-(`CondensedSystem.solve_shifted`).
+nonconstant potential (see `spectra`).  The steady state of a linear profile
+reads a second cached Krylov basis, one per circulation vector, that serves
+every slope, and is refined by a defect-correction solve with it; a Newton
+step of a nonlinear profile runs MINRES preconditioned by it on the matrix
+with a diagonal shift (`CondensedSystem.solve_shifted`; see `steady`).
 
 Built on it:
 
@@ -63,17 +65,20 @@ class CondensedSystem:
     """Sparse factorized form of the flux-constrained Poisson problem."""
 
     def __init__(self, domain: g.GridDomain):
-        self.domain = domain
+        # the system keeps no reference to its domain, which holds it in
+        # `_system`: without that cycle the factorization is freed with the
+        # domain, not at the next run of the cyclic garbage collector
         self.n = domain.n_components - 1
         dom = domain
         h2 = dom.h * dom.h
 
         ii = dom.interior_ids
         self.n_int = len(ii)
+        self.n_nodes = dom.n_nodes
+        self.int_ids = ii
+        self.border_ids = [dom.boundary_ids(k + 1) for k in range(self.n)]
         row_of = np.full(dom.n_nodes, -1, dtype=np.int64)
         row_of[ii] = np.arange(self.n_int)
-        self.row_of = row_of
-        self.int_ids = ii
 
         # interior block of the Dirichlet form: diag = sum of edge weights,
         # off-diagonal = -w for interior-interior edges
@@ -105,20 +110,26 @@ class CondensedSystem:
         self.M = mcols  # (n_int, N): weights into each inner component
         self.Dk = mcols.sum(axis=0)  # total edge weight per inner component
         self.h2 = h2
-
-        if self.n:
-            K = sparse.bmat(
-                [
-                    [self.Ah2, -sparse.csc_matrix(self.M)],
-                    [-sparse.csc_matrix(self.M.T), sparse.diags(self.Dk)],
-                ],
-                format="csc",
-            )
-        else:
-            K = self.Ah2
-        self.K = K
-        self._lu_K = _factor(K, "condensed system")
+        self._lu_K = _factor(self._bordered(), "condensed system")
         self.cache = {}  # per-domain spectral data, keyed by its producer
+
+    def _bordered(self):
+        if not self.n:
+            return self.Ah2
+        return sparse.bmat(
+            [
+                [self.Ah2, -sparse.csc_matrix(self.M)],
+                [-sparse.csc_matrix(self.M.T), sparse.diags(self.Dk)],
+            ],
+            format="csc",
+        )
+
+    @cached_property
+    def K(self):
+        """The bordered matrix [[Ah2, -M], [-M^T, D]], assembled again on
+        first use: only Newton steps and MINRES runs apply it, and most
+        domains need neither after their factorization."""
+        return self._bordered()
 
     @classmethod
     def of(cls, domain: g.GridDomain) -> "CondensedSystem":
@@ -162,12 +173,11 @@ class CondensedSystem:
 
     def embed(self, u_int, theta=None):
         """Full node vector: interior values, theta on inner components, 0 outside."""
-        dom = self.domain
-        out = np.zeros(dom.n_nodes)
+        out = np.zeros(self.n_nodes)
         out[self.int_ids] = u_int
         if theta is not None:
-            for k in range(self.n):
-                out[dom.boundary_ids(k + 1)] = theta[k]
+            for ids, t in zip(self.border_ids, theta):
+                out[ids] = t
         return out
 
     def theta_of(self, u_int):
@@ -232,8 +242,8 @@ def p_apply(basis, phi: g.ScalarField) -> g.ScalarField:
     Symmetric and positive definite as an operator on interior values.
     """
     sys = basis.system
-    u, theta = sys.solve_stream(phi.values[sys.domain.interior_ids], np.zeros(sys.n))
-    return g.ScalarField(sys.domain, sys.embed(u, theta))
+    u, theta = sys.solve_stream(phi.values[sys.int_ids], np.zeros(sys.n))
+    return g.ScalarField(basis.domain, sys.embed(u, theta))
 
 
 def h_field(basis, a) -> g.ScalarField:

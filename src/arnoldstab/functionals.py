@@ -344,6 +344,15 @@ def legendre(gf: GFunc) -> LegendrePair:
 # -- flow functionals ------------------------------------------------------------
 
 
+def _h_field_kept(basis, av) -> g.ScalarField:
+    """h_field(basis, av), kept on the basis for the latest circulations:
+    every sample of a probe has the same ones, and the records only read
+    it."""
+    if basis._h_field is None or not np.array_equal(basis._h_field[0], av):
+        basis._h_field = (av.copy(), h_field(basis, av))
+    return basis._h_field[1]
+
+
 class _Sample:
     """One vorticity sample w with circulations a, and the terms that every
     flow functional of it reads: one circulation-free solve Pw, the harmonic
@@ -359,7 +368,7 @@ class _Sample:
         self.domain = dom
         self.w = w
         self.Pw = p_apply(basis, w)
-        self.ha = h_field(basis, av)
+        self.ha = _h_field_kept(basis, av)
         self.psi_w = self.Pw.values + self.ha.values
         self.w_pw = g.integrate(g.ScalarField(dom, w.values * self.Pw.values))
         self.half_aqa = 0.5 * float(av @ (basis.q @ av))

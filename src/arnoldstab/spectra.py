@@ -14,8 +14,13 @@ K.  For a constant c the basis is the Lanczos basis of C^-1 from the vector
 of ones, cached per domain: it serves lambda, every constant c and every
 constant-slope weak form, whose rank-one term is along ones.  Since (C +
 beta 1 1^T)^-1 maps any x into span{C^-1 x, C^-1 1} (Golub, SIAM Rev. 1973),
-from ones it builds the Krylov space of C^-1 for every beta.  A nonconstant
-c grows a fresh Davidson basis instead, by C^-1 r for the residual r of each
+from ones it builds the Krylov space of C^-1 for every beta.  The basis keeps
+G = V^T C V, so the Rayleigh-Ritz matrix of each such operator, G + c I +
+rho w w^T, needs a product with C only for vectors G has not seen.  A
+`_Krylov` basis also records its Lanczos coefficients, from which
+`_Krylov.shifted_solve` solves (I - kappa C^-1) u = u0 for every kappa at
+once; `steady` keeps one such basis for its linear states.  A nonconstant c
+grows a fresh Davidson basis instead, by C^-1 r for the residual r of each
 Ritz pair that fails its certificate (Davidson, J. Comput. Phys. 17, 1975).
 The largest eigenvalue of the circulation-free inverse comes from power
 iteration on the solve with K, so lambda * Lambda = 1 compares two
@@ -37,6 +42,10 @@ from .errors import ConvergenceError, SolverError
 _KRYLOV_STEP = 5
 _KRYLOV_CAP = 60
 _BREAKDOWN = 1e-12
+
+# residual, relative to the right-hand side, at which a shifted solve in a
+# Krylov basis stops growing it
+_SOLVE_TOL = 1e-13
 
 # relative residual bound of an eigen-solve, which is also how far below zero
 # a verdict's quadratic form may fall; and the slack of its slope-sign check
@@ -109,30 +118,98 @@ class CriterionReport:
 class _Krylov:
     """Orthonormal basis of the Krylov space of the symmetric operator
     `solve` from a start vector: Lanczos with full reorthogonalization,
-    kept as a list of vectors and grown on demand."""
+    kept as a list of vectors and grown on demand.
+
+    Column j of `hessenberg` holds the coordinates of solve(v_j) in v_0 ..
+    v_{j+1}, the last one 0 where the space is exhausted, so that the
+    columns give solve V_m = V_{m+1} H_m; `scale` is the norm of the start
+    vector.  `gram` keeps V^T C V for the operator C of its caller, one
+    column per basis vector."""
 
     def __init__(self, solve, start):
         self.solve = solve
-        self.vectors = [start / np.linalg.norm(start)]
+        self.scale = float(np.linalg.norm(start))
+        self.vectors = [start / self.scale]
+        self.hessenberg = []
         self.exhausted = False  # a new direction lay in the span
+        self._gram = np.zeros((0, 0))
 
     def grow(self, size, residual):
         """Extend the basis to `size` vectors, or to the whole Krylov space."""
         while len(self.vectors) < size and not self.exhausted:
-            self._append(self.solve(self.vectors[-1]))
+            self.hessenberg.append(self._append(self.solve(self.vectors[-1])))
 
     def _append(self, w):
-        """Orthonormalize w against the basis and append it, if not in the span."""
+        """Orthonormalize w against the basis and append it, if not in the
+        span; returns the coordinates of w in the basis and the new vector."""
         vs = self.vectors
         scale = np.linalg.norm(w)
+        coords = np.zeros(len(vs) + 1)
         for _ in range(2):  # classical Gram-Schmidt, twice
-            for v, coef in zip(vs, [v @ w for v in vs]):
+            coefs = [v @ w for v in vs]
+            for v, coef in zip(vs, coefs):
                 w -= coef * v
+            coords[:-1] += coefs
         norm = np.linalg.norm(w)
         if norm > _BREAKDOWN * scale:
             vs.append(w / norm)
+            coords[-1] = norm
         else:
             self.exhausted = True
+        return coords
+
+    def gram(self, size, stiffness):
+        """V^T C V on the first `size` vectors, upper triangle, C the
+        symmetric operator `stiffness`: one product with C per vector that
+        no earlier call has seen."""
+        seen = len(self._gram)
+        if size > seen:
+            G = np.zeros((size, size))
+            G[:seen, :seen] = self._gram
+            vs = self.vectors
+            for j in range(seen, size):
+                cv = stiffness(vs[j])
+                G[: j + 1, j] = [v @ cv for v in vs[: j + 1]]
+            self._gram = G
+        return self._gram[:size, :size]
+
+    # an overflowing kappa makes the projected matrix or y non-finite; the
+    # solve then reports no convergence, and numpy need not warn first
+    @np.errstate(over="ignore", invalid="ignore")
+    def shifted_solve(self, kappa):
+        """(u, converged): u in the Krylov space with (I - kappa S) u = u0,
+        S = `solve` and u0 the start vector.
+
+        The Galerkin condition on m vectors reads (I - kappa H_m) y =
+        |u0| e_1 with u = V_m y, and leaves the residual -kappa h_{m+1,m}
+        y_m v_{m+1} (Saad, Iterative Methods for Sparse Linear Systems, 2003,
+        on FOM).  The least m whose residual is at most _SOLVE_TOL |u0| is
+        taken, growing the basis one vector at a time, so every kappa reads
+        the one basis and its result does not depend on how far earlier
+        calls grew it.  An exhausted basis solves exactly.  A solve that
+        reaches `_KRYLOV_CAP` first is not converged.
+        """
+        cols = self.hessenberg
+        H = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
+        y, converged = np.zeros(1), False
+        for m in range(1, _KRYLOV_CAP):
+            self.grow(m + 1, None)
+            if len(cols) < m:
+                break
+            H[: m + 1, m - 1] = cols[m - 1]
+            rhs = np.zeros(m)
+            rhs[0] = self.scale
+            try:
+                y = np.linalg.solve(np.eye(m) - kappa * H[:m, :m], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if abs(kappa * H[m, m - 1] * y[-1]) <= _SOLVE_TOL * self.scale:
+                converged = True
+                break
+        u = y[0] * self.vectors[0]
+        for coef, v in zip(y[1:], self.vectors[1:]):
+            u += coef * v
+        return u, converged
 
 
 class _Davidson(_Krylov):
@@ -144,43 +221,97 @@ class _Davidson(_Krylov):
             self._append(self.solve(residual))
 
 
+def _inverse(sys):
+    """C^-1 on interior values: h^2 times the interior block of K^-1.  It
+    closes over the factorization, not over `sys`, so a basis cached in
+    `sys.cache` makes no reference cycle with it."""
+    lu, h2, n_int, border = sys._lu_K, sys.h2, sys.n_int, np.zeros(sys.n)
+
+    def solve(b):
+        return h2 * lu.solve(np.concatenate([b, border]))[:n_int]
+
+    return solve
+
+
+class _Operator:
+    """C + diag(c) (+ rho v v^T) on interior values, with C the condensed
+    stiffness; calling it applies it.  `shift` is c where c is constant."""
+
+    def __init__(self, sys, c, rank_one=None):
+        self.sys = sys
+        self.c = c
+        self.rank_one = rank_one
+        self.shift = float(c[0]) if np.ptp(c) == 0 else None
+        self._vav = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
+        self._seen = 0
+
+    def stiffness(self, x):
+        sys = self.sys
+        y = sys.Ah2 @ x
+        if sys.n:
+            y -= sys.M @ ((sys.M.T @ x) / sys.Dk)
+        return y / sys.h2
+
+    def __call__(self, x):
+        y = self.stiffness(x) + self.c * x
+        if self.rank_one is not None:
+            rho, v = self.rank_one
+            y += (rho * (v @ x)) * v
+        return y
+
+    def rayleigh_ritz(self, basis, size):
+        """V^T (this operator) V on the first `size` vectors of `basis`, upper
+        triangle.  With a `shift` c it is G + c I + rho w w^T, with G = V^T
+        C V kept by the basis and w = V^T v, so only a basis vector that G
+        has not seen costs a product with C; otherwise one product with the
+        operator per new vector, kept for later calls with larger sizes."""
+        if self.shift is not None:
+            rr = basis.gram(size, self.stiffness) + self.shift * np.eye(size)
+            if self.rank_one is not None:
+                rho, v = self.rank_one
+                w = np.array([u @ v for u in basis.vectors[:size]])
+                rr += np.outer(w, rho * w)
+            return rr
+        vs = basis.vectors
+        for j in range(self._seen, size):
+            av = self(vs[j])
+            self._vav[: j + 1, j] = [v @ av for v in vs[: j + 1]]
+        self._seen = max(self._seen, size)
+        return self._vav[:size, :size]
+
+
 # an overflowing potential turns the Rayleigh-Ritz matrix or the residual
 # non-finite, which raises `ConvergenceError`; numpy need not warn first
 @np.errstate(over="ignore", invalid="ignore")
-def _lowest_eig(basis, apply):
-    """Smallest eigenpair of the symmetric operator `apply`, by Rayleigh-Ritz
+def _lowest_eig(basis, op):
+    """Smallest eigenpair of the symmetric `_Operator` op, by Rayleigh-Ritz
     on a `_Krylov` or `_Davidson` basis.
 
-    V^T apply V is accumulated one column per basis vector; the smallest
-    Ritz pair is certified by the residual r of the Rayleigh quotient mu of
-    `apply` at the unit Ritz vector x, ||apply x - mu x|| <= _EIG_TOL *
-    max(1, |mu|), and until it passes the basis grows, given r, by up to
-    `_KRYLOV_STEP` vectors.  Only the vectors a pair needs are read, so a
-    pair from a longer cached basis equals that of a fresh one.  A
-    non-finite entry of V^T apply V or r raises `ConvergenceError` at once.
-    Returns (mu, x, number of solves behind the vectors used, residual)
-    with x of nonnegative sum.
+    The smallest Ritz pair of V^T op V (`_Operator.rayleigh_ritz`) is
+    certified by the residual r of the Rayleigh quotient mu of op at the
+    unit Ritz vector x, ||op x - mu x|| <= _EIG_TOL * max(1, |mu|), and
+    until it passes the basis grows, given r, by up to `_KRYLOV_STEP`
+    vectors.  Only the vectors a pair needs are read, so a pair from a
+    longer cached basis equals that of a fresh one.  A non-finite entry of
+    V^T op V or r raises `ConvergenceError` at once.  Returns (mu, x, number
+    of solves behind the vectors used, residual) with x of nonnegative sum.
     """
     vs = basis.vectors
-    vav = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
     size, r = 0, None
     while True:
         basis.grow(min(size + _KRYLOV_STEP, _KRYLOV_CAP), r)
-        new = min(size + _KRYLOV_STEP, _KRYLOV_CAP, len(vs))
-        for j in range(size, new):
-            av = apply(vs[j])
-            vav[: j + 1, j] = [v @ av for v in vs[: j + 1]]
-        if not np.isfinite(vav[:new, size:new]).all():
+        size = min(size + _KRYLOV_STEP, _KRYLOV_CAP, len(vs))
+        rr = op.rayleigh_ritz(basis, size)
+        if not np.isfinite(rr).all():
             raise ConvergenceError("Rayleigh-Ritz matrix is not finite")
-        size = new
-        y = np.linalg.eigh(vav[:size, :size], UPLO="U")[1][:, 0]
+        y = np.linalg.eigh(rr, UPLO="U")[1][:, 0]
         x = y[0] * vs[0]
         for coef, v in zip(y[1:], vs[1:size]):
             x += coef * v
         x /= np.linalg.norm(x)
         if x.sum() < 0:
             x = -x
-        ax = apply(x)
+        ax = op(x)
         mu = float(x @ ax)
         r = ax - mu * x
         res = float(np.linalg.norm(r))
@@ -193,35 +324,22 @@ def _lowest_eig(basis, apply):
 
 
 def _condensed(sys, c, rank_one=None):
-    """(basis, apply) for C + diag(c) (+ rho v v^T) on interior values.
+    """(basis, op) for the `_Operator` C + diag(c) (+ rho v v^T).
 
     Every basis vector costs one solve with C^-1, by the cached factorization
     of K.  A constant c (which comes with v along ones) reads the Lanczos
     basis of C^-1 from ones, cached per system: it is the Krylov space of (C
-    + c + rho v v^T)^-1 for every c and rho.  A nonconstant c gets a fresh
+    + c + rho v v^T)^-1 for every c and rho, and it keeps V^T C V for the
+    Rayleigh-Ritz matrices of them all.  A nonconstant c gets a fresh
     `_Davidson` basis, started from v, or from ones without v.
     """
-    h2 = sys.h2
-
-    def apply(x):
-        y = sys.Ah2 @ x
-        if sys.n:
-            y -= sys.M @ ((sys.M.T @ x) / sys.Dk)
-        y = y / h2 + c * x
-        if rank_one is not None:
-            rho, v = rank_one
-            y += (rho * (v @ x)) * v
-        return y
-
-    def solve(b):
-        return h2 * sys.solve_shifted(0.0, np.concatenate([b, np.zeros(sys.n)]))[: sys.n_int]
-
-    if np.ptp(c) == 0:
+    op = _Operator(sys, c, rank_one)
+    if op.shift is not None:
         if "lanczos_basis" not in sys.cache:
-            sys.cache["lanczos_basis"] = _Krylov(solve, np.ones(sys.n_int))
-        return sys.cache["lanczos_basis"], apply
+            sys.cache["lanczos_basis"] = _Krylov(_inverse(sys), np.ones(sys.n_int))
+        return sys.cache["lanczos_basis"], op
     start = np.ones(sys.n_int) if rank_one is None else rank_one[1]
-    return _Davidson(solve, start), apply
+    return _Davidson(_inverse(sys), start), op
 
 
 def _result_from_interior(basis, value, u, iters, res):

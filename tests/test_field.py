@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -444,3 +446,27 @@ def test_stream_certificate_is_lazy(basis32, monkeypatch):
     assert sol.flux_errors.max() <= 1e-9
     assert sol.residual == residual
     assert len(calls) == 1
+
+
+def test_condensed_system_freed_without_collector():
+    """The condensed system keeps no reference to its domain, and the bases
+    it caches close over its factorization, not over it: with the cyclic
+    garbage collector off, dropping the domain and its basis frees the
+    system, after stream solves and cached Lanczos and fresh Davidson
+    eigen-solves."""
+    from arnoldstab import harmonic, spectra
+
+    gc.disable()
+    try:
+        dom = grid.build_annulus(1.0, 2.0, 16)
+        basis = harmonic.solve_basis(dom)
+        field.stream_solve(basis, dom.constant(1.0), [1.0])
+        field.p_apply(basis, dom.constant(1.0))
+        spectra.lambda_c(basis, 0.7)
+        spectra.lambda_c(basis, grid.ScalarField(dom, dom.node_x))
+        assert "lanczos_basis" in basis.system.cache
+        system = weakref.ref(basis.system)
+        del dom, basis
+        assert system() is None
+    finally:
+        gc.enable()

@@ -403,6 +403,9 @@ def test_probes_solve_once_per_sample(monkeypatch, basis32, stable_state32):
 
 
 def test_criterion_6_values_equal_one_call_per_functional(tmp_path):
+    """Criterion 6 reads every functional of a sample from one record; each
+    sample's EC, D-hat, D and D_s, and the summary values, equal one call
+    per functional."""
     ctx = acceptance.AcceptanceContext(out_dir=str(tmp_path), quick=True, seed=20240801)
     res = acceptance.criterion_6(ctx)
     basis, st = ctx.basis(32), ctx.stable_state(32)
@@ -412,14 +415,35 @@ def test_criterion_6_values_equal_one_call_per_functional(tmp_path):
     dh0, mu0 = fn.supporting_d_hat(basis, st.omega_bar, st.a, gf, st.mass)
     scale = max(1.0, abs(ec0))
     worst = -np.inf
-    for t in range(30):
+    assert len(res.samples) == 30
+    for t, row in enumerate(res.samples):
         smp = ra.random_swaps(st.omega_bar, 1 + (5 * t) % 48, ctx.seed + t)
         ec = fn.energy_casimir(basis, smp.w, st.a, lp)
         dval = fn.supporting_d(basis, smp.w, st.a, gf)
         dhat, _ = fn.supporting_d_hat(basis, smp.w, st.a, gf, st.mass)
         ds = fn.supporting_d_s(basis, smp.w, st.a, gf, 0.37, st.mass)
+        assert row == (ec, dhat, dval, ds)
         worst = max(worst, ec - dhat, dhat - dval, dhat - ds)
     assert res.passed
     assert res.details["worst_gap"] == worst
     assert res.details["eq_at_state"] == max(abs(d0 - ec0), abs(dh0 - ec0)) / scale
     assert res.details["mu_at_state"] == abs(mu0)
+
+
+def test_probes_build_the_harmonic_field_once(stable_state32, monkeypatch):
+    """Every sample of a probe has the circulations of the steady state, so
+    a fresh basis builds h_a once for both probes together."""
+    calls = []
+    h_field = fn.h_field
+
+    def counting(basis, a):
+        calls.append(1)
+        return h_field(basis, a)
+
+    monkeypatch.setattr(fn, "h_field", counting)
+    st = stable_state32
+    basis = harmonic.solve_basis(st.psi_bar.domain)
+    gext = fn.extend_g(st.g, st.psi_min, st.psi_max)
+    ra.local_max_probe(basis, st, 0.1 * grid.lp_norm(st.omega_bar), 3, 5)
+    ra.supporting_probe(basis, st, gext, 3, 5, fn.legendre(gext))
+    assert len(calls) == 1

@@ -208,10 +208,11 @@ def _verdict_sweep(monkeypatch, states=_linear_states):
 
 def test_verdict_lu_solves_per_domain(monkeypatch):
     """Every eigen-solve of a linear-profile verdict reads the one cached
-    Lanczos basis, so the sweep makes at most half the 69 and 103 LU solves
-    that one eigen-run per distinct operator takes."""
+    Lanczos basis, and both steady states read the one Krylov basis of
+    their circulations, so the sweep makes at most 24 and 36 LU solves (one
+    MINRES run per steady state took 34 and 46)."""
     solves = [n for _, n, _ in _verdict_sweep(monkeypatch)]
-    assert solves[0] <= 69 // 2 and solves[1] <= 103 // 2
+    assert solves[0] <= 24 and solves[1] <= 36
 
 
 def test_verdict_factorizations_per_domain(monkeypatch):
@@ -233,13 +234,38 @@ def test_nonlinear_verdict_factorizations_per_domain(monkeypatch):
     assert [n for n, _, _ in _verdict_sweep(monkeypatch, tanh_state)] == [1, 1]
 
 
-def test_verdict_keeps_one_bounded_basis(monkeypatch):
-    """The sweep leaves exactly one cached Lanczos basis per domain, within
-    the basis cap."""
+def test_verdict_keeps_bounded_bases(monkeypatch):
+    """The sweep leaves, per domain, the Lanczos basis from ones and one
+    steady basis, for the latest circulations, each within the basis cap."""
     for _, _, sys in _verdict_sweep(monkeypatch):
-        kept = [v for v in sys.cache.values() if isinstance(v, spectra._Krylov)]
-        assert len(kept) == 1
-        assert len(kept[0].vectors) <= spectra._KRYLOV_CAP
+        assert sorted(sys.cache) == ["lambda_plain", "lanczos_basis", "steady_basis"]
+        for basis in (sys.cache["lanczos_basis"], sys.cache["steady_basis"][1]):
+            assert isinstance(basis, spectra._Krylov)
+            assert len(basis.vectors) <= spectra._KRYLOV_CAP
+
+
+def test_linear_verdict_applies_C_only_for_ritz_checks(basis32, lam32, monkeypatch):
+    """A linear-profile verdict reads V^T C V from the cached Lanczos
+    basis: once a verdict has seen the vectors it needs, repeating it
+    applies C once per Ritz residual check and for nothing else."""
+    st = steady.steady_linear(basis32, 1.5 * lam32, [1.0])
+    spectra.check_stability(basis32, st)
+    counts = {"stiffness": 0, "checks": 0}
+    stiffness, rayleigh_ritz = spectra._Operator.stiffness, spectra._Operator.rayleigh_ritz
+
+    def counting_stiffness(self, x):
+        counts["stiffness"] += 1
+        return stiffness(self, x)
+
+    def counting_rayleigh_ritz(self, basis, size):
+        counts["checks"] += 1  # one Ritz residual check follows every projection
+        return rayleigh_ritz(self, basis, size)
+
+    monkeypatch.setattr(spectra._Operator, "stiffness", counting_stiffness)
+    monkeypatch.setattr(spectra._Operator, "rayleigh_ritz", counting_rayleigh_ritz)
+    spectra.check_stability(basis32, st)
+    assert counts["checks"] >= 2
+    assert counts["stiffness"] == counts["checks"]
 
 
 def _small_two_holes():

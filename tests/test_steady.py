@@ -116,13 +116,56 @@ def test_steady_linear_solves_with_K(monkeypatch):
         assert 0 < lus[0].solves <= 30
 
 
-def test_steady_linear_minres_cap_goes_to_certificate(basis32, lam32, monkeypatch):
-    """A MINRES run stopped by its iteration cap, with no Newton step to
-    refine it, is judged by the certificate, which raises."""
+def test_steady_solve_caps_go_to_certificate(basis32, lam32, monkeypatch):
+    """A linear state whose Krylov solve is stopped by the basis cap falls
+    back to MINRES; with that run stopped by its iteration cap as well and
+    no Newton step to refine it, the certificate raises.  A Newton step of
+    the tanh state whose MINRES run is capped is judged the same way and
+    flagged uncertified."""
     monkeypatch.setattr(field, "_MINRES_CAP", 2)
     monkeypatch.setattr(steady, "_NEWTON_CAP", 0)
-    with pytest.raises(ConvergenceError):
-        steady.steady_linear(basis32, 0.5 * lam32, [1.0])
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_KRYLOV_CAP", 3)
+        with pytest.raises(ConvergenceError):
+            steady.steady_linear(basis32, 0.5 * lam32, [1.0])
+    monkeypatch.setattr(steady, "_NEWTON_CAP", 1)
+    st = steady.steady_newton(basis32, tanh_profile(lam32), [1.0])
+    assert not st.certified
+    assert st.iterations == 2
+
+
+def test_steady_linear_falls_back_to_minres(basis32, lam32, monkeypatch):
+    """A Krylov solve stopped by the basis cap hands the first solve to
+    MINRES, whose state certifies without a refinement step and matches a
+    direct sparse solve."""
+    monkeypatch.setattr(spectra, "_KRYLOV_CAP", 3)
+    monkeypatch.setattr(steady, "_NEWTON_CAP", 0)
+    sys = basis32.system
+    kappa = 0.5 * lam32
+    st = steady.steady_linear(basis32, kappa, [1.0])
+    assert st.certified and st.iterations == 1
+    d = np.concatenate([np.full(sys.n_int, kappa * sys.h2), np.zeros(sys.n)])
+    z = spsolve((sys.K - sparse.diags(d)).tocsc(), np.concatenate([np.zeros(sys.n_int), [-1.0]]))
+    ref = sys.embed(z[: sys.n_int], z[sys.n_int :])
+    assert np.abs(st.psi_bar.values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_second_slope_reads_the_steady_basis(monkeypatch):
+    """Every slope kappa on one (domain, a) reads the one Krylov basis of
+    the steady solves: once lambda and the first state are built, a second
+    slope on the res-32 annulus costs at most 4 LU solves (one MINRES solve
+    per slope took 13).  A new circulation vector takes the one slot."""
+    lus = _counting_factorizations(monkeypatch)
+    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
+    lam = spectra.lambda_plain(basis).value
+    assert steady.steady_linear(basis, 0.5 * lam, [1.0]).certified
+    lus[0].solves = 0
+    assert steady.steady_linear(basis, 1.5 * lam, [1.0]).certified
+    assert lus[0].solves <= 4
+    steady.steady_linear(basis, 0.5 * lam, [0.3])
+    kept = [k for k in basis.system.cache if k.startswith("steady")]
+    assert kept == ["steady_basis"]
+    assert np.array_equal(basis.system.cache["steady_basis"][0], [0.3])
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +187,21 @@ def test_steady_linear_refinement_certifies_at_res128(basis128):
     st = steady.steady_linear(basis128, 0.3 * spectra.lambda_plain(basis128).value, [1.0])
     assert st.certified
     assert st.iterations >= 2
+
+
+def test_linear_refinement_is_one_solve_with_K(basis128, monkeypatch):
+    """The refinement step of a linear state is the defect correction
+    z - K^-1 F: one solve with the cached factorization (a MINRES step took
+    about 15)."""
+    sys = basis128.system
+    lam = spectra.lambda_plain(basis128).value
+    steady.steady_linear(basis128, 0.5 * lam, [1.0])  # the steady basis exists
+    counting = _CountingLU(sys._lu_K)
+    monkeypatch.setattr(sys, "_lu_K", counting)
+    st = steady.steady_linear(basis128, 0.3 * lam, [1.0])
+    assert st.certified
+    assert st.iterations == 2
+    assert counting.solves == 1
 
 
 def _picard(basis, gf, a, iterations=400, damping=0.5):
