@@ -49,37 +49,28 @@ class AcceptanceContext:
         self._cache = {}
         os.makedirs(out_dir, exist_ok=True)
 
-    def domain(self, res):
-        key = ("domain", res)
+    def _kept(self, key, build):
         if key not in self._cache:
-            self._cache[key] = grid.build_annulus(1.0, 2.0, res)
+            self._cache[key] = build()
         return self._cache[key]
+
+    def domain(self, res):
+        return self._kept(("domain", res), lambda: grid.build_annulus(1.0, 2.0, res))
 
     def basis(self, res):
-        key = ("basis", res)
-        if key not in self._cache:
-            self._cache[key] = harmonic.solve_basis(self.domain(res))
-        return self._cache[key]
+        return self._kept(("basis", res), lambda: harmonic.solve_basis(self.domain(res)))
 
     def lam(self, res):
-        key = ("lam", res)
-        if key not in self._cache:
-            self._cache[key] = spectra.lambda_plain(self.basis(res)).value
-        return self._cache[key]
+        return spectra.lambda_plain(self.basis(res)).value
 
     def stable_state(self, res):
-        key = ("stable", res)
-        if key not in self._cache:
-            self._cache[key] = steady.steady_linear(
-                self.basis(res), 0.5 * self.lam(res), [1.0]
-            )
-        return self._cache[key]
+        return self._kept(
+            ("stable", res),
+            lambda: steady.steady_linear(self.basis(res), 0.5 * self.lam(res), [1.0]),
+        )
 
     def radial(self, n=4096):
-        key = ("radial", n)
-        if key not in self._cache:
-            self._cache[key] = oracle.RadialProblem(1.0, 2.0, n)
-        return self._cache[key]
+        return self._kept(("radial", n), lambda: oracle.RadialProblem(1.0, 2.0, n))
 
 
 # -- criteria -------------------------------------------------------------------

@@ -126,17 +126,20 @@ class _StepGrids:
 
 
 def _step_grids(dom) -> _StepGrids:
-    """The domain's `_StepGrids`, built on first use and cached on it."""
-    if dom._step_grids is None:
+    """The domain's `_StepGrids`, built on first use and kept in its cache
+    (`grid.cached`)."""
+
+    def build():
         ext = np.pad(dom.kinds == g.EXTERIOR, _PAD, constant_values=True)
         _, (iy, ix) = ndimage.distance_transform_edt(ext, return_indices=True)
         inter = np.pad(dom.kinds == g.INTERIOR, _PAD)
-        dom._step_grids = _StepGrids(
+        return _StepGrids(
             fill_src=dom.node_index[iy - _PAD, ix - _PAD],
             node_ids=np.pad(dom.node_index, _PAD, constant_values=-1),
             cell_ok=inter[:-1, :-1] | inter[:-1, 1:] | inter[1:, :-1] | inter[1:, 1:],
         )
-    return dom._step_grids
+
+    return g.cached(dom, "step_grids", build)
 
 
 def _filled_grid(dom, values):

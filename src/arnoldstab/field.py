@@ -7,13 +7,16 @@ matrix is exactly the discrete Dirichlet form on this space, hence symmetric
 positive definite; it is assembled and factorized once per domain, and that
 is the only factorization the package makes.  The harmonic basis and the
 stream solves reuse it, and so does every eigenproblem: the one Lanczos
-basis of its inverse that `CondensedSystem.cache` keeps for a constant
-potential or a constant slope, and the Davidson basis it preconditions for a
-nonconstant potential (see `spectra`).  The steady state of a linear profile
-reads a second cached Krylov basis, one per circulation vector, that serves
-every slope, and is refined by a defect-correction solve with it; a Newton
-step of a nonlinear profile runs MINRES preconditioned by it on the matrix
-with a diagonal shift (`CondensedSystem.solve_shifted`; see `steady`).
+basis of its inverse that the domain keeps for a constant potential or a
+constant slope, and the Davidson basis it preconditions for a nonconstant
+potential (see `spectra`).  The steady state of a linear profile reads a
+second Krylov basis, kept by the domain for the latest circulation vector,
+that serves every slope, and is refined by a defect-correction solve with
+it; a Newton step of a nonlinear profile runs MINRES preconditioned by it on
+the matrix with a diagonal shift (`CondensedSystem.solve_shifted`; see
+`steady`).  The domain keeps all of it in its one cache (`grid.cached`),
+which holds nothing that refers back to the domain, so a domain is freed,
+with its factorization, on `del`.
 
 Built on it:
 
@@ -65,9 +68,9 @@ class CondensedSystem:
     """Sparse factorized form of the flux-constrained Poisson problem."""
 
     def __init__(self, domain: g.GridDomain):
-        # the system keeps no reference to its domain, which holds it in
-        # `_system`: without that cycle the factorization is freed with the
-        # domain, not at the next run of the cyclic garbage collector
+        # the system keeps no reference to its domain, whose cache holds it:
+        # without that cycle the factorization is freed with the domain, not
+        # at the next run of the cyclic garbage collector
         self.n = domain.n_components - 1
         dom = domain
         h2 = dom.h * dom.h
@@ -111,7 +114,6 @@ class CondensedSystem:
         self.Dk = mcols.sum(axis=0)  # total edge weight per inner component
         self.h2 = h2
         self._lu_K = _factor(self._bordered(), "condensed system")
-        self.cache = {}  # per-domain spectral data, keyed by its producer
 
     def _bordered(self):
         if not self.n:
@@ -133,9 +135,7 @@ class CondensedSystem:
 
     @classmethod
     def of(cls, domain: g.GridDomain) -> "CondensedSystem":
-        if domain._system is None:
-            domain._system = cls(domain)
-        return domain._system
+        return g.cached(domain, "system", lambda: cls(domain))
 
     # -- raw solves ------------------------------------------------------------
 
@@ -367,19 +367,15 @@ def _derivative_matrix(dom: g.GridDomain, d_plus, d_minus):
     return mat
 
 
-def _gradient(dom: g.GridDomain):
-    """(d/dx, d/dy) as sparse matrices on the node values, built once per
-    domain."""
-    if dom._grad is None:
-        dom._grad = (_derivative_matrix(dom, 0, 1), _derivative_matrix(dom, 2, 3))
-    return dom._grad
-
-
 def velocity(psi: g.ScalarField) -> VelocityField:
     """Perpendicular gradient of psi, by the derivative stencils of
-    `_derivative_matrix` (one sparse product per component)."""
-    dx, dy = _gradient(psi.domain)
-    return VelocityField(psi.domain, dy @ psi.values, -(dx @ psi.values))
+    `_derivative_matrix` (one sparse product per component), which the
+    domain keeps as d/dx and d/dy."""
+    dom = psi.domain
+    dx, dy = g.cached(
+        dom, "gradient", lambda: (_derivative_matrix(dom, 0, 1), _derivative_matrix(dom, 2, 3))
+    )
+    return VelocityField(dom, dy @ psi.values, -(dx @ psi.values))
 
 
 def divergence(v: VelocityField) -> g.ScalarField:
@@ -426,14 +422,11 @@ class _Contour:
 
 
 def _contour(dom: g.GridDomain, k) -> _Contour:
-    """The contour of `circulation` around inner component k, built once per
-    (domain, k).
+    """The contour of `circulation` around inner component k.
 
     It is the staircase boundary of the hole region dilated into the fluid
     far enough that every contour node has a regular central stencil.
     """
-    if k in dom._contours:
-        return dom._contours[k]
     nodes = ndimage.binary_dilation(_hole_region(dom, k), structure=_FOUR_STRUCT)
     cells = nodes[:-1, :-1] | nodes[:-1, 1:] | nodes[1:, :-1] | nodes[1:, 1:]
     if not cells.any():
@@ -453,13 +446,11 @@ def _contour(dom: g.GridDomain, k) -> _Contour:
     fluid = dom.kinds == g.INTERIOR
     cy, cx = np.nonzero(cells)
     idx = dom.node_index
-    contour = _Contour(
+    return _Contour(
         corners=(idx[cy, cx], idx[cy, cx + 1], idx[cy + 1, cx], idx[cy + 1, cx + 1]),
         inside=idx[inside & fluid],
         fringe=idx[fringe & fluid],
     )
-    dom._contours[k] = contour
-    return contour
 
 
 def circulation(v: VelocityField, k: int, omega: g.ScalarField | None = None) -> float:
@@ -478,7 +469,7 @@ def circulation(v: VelocityField, k: int, omega: g.ScalarField | None = None) ->
     dom = v.domain
     if not 1 <= k < dom.n_components:
         raise GridError("circulation needs an inner component index, got %r" % (k,))
-    c = _contour(dom, k)
+    c = g.cached(dom, ("contour", k), lambda: _contour(dom, k))
     sw, se, nw, ne = c.corners
     # node values with a trailing 0 that the exterior id -1 picks up
     VX = np.append(v.vx, 0.0)

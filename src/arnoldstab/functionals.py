@@ -344,15 +344,6 @@ def legendre(gf: GFunc) -> LegendrePair:
 # -- flow functionals ------------------------------------------------------------
 
 
-def _h_field_kept(basis, av) -> g.ScalarField:
-    """h_field(basis, av), kept on the basis for the latest circulations:
-    every sample of a probe has the same ones, and the records only read
-    it."""
-    if basis._h_field is None or not np.array_equal(basis._h_field[0], av):
-        basis._h_field = (av.copy(), h_field(basis, av))
-    return basis._h_field[1]
-
-
 class _Sample:
     """One vorticity sample w with circulations a, and the terms that every
     flow functional of it reads: one circulation-free solve Pw, the harmonic
@@ -368,15 +359,17 @@ class _Sample:
         self.domain = dom
         self.w = w
         self.Pw = p_apply(basis, w)
-        self.ha = _h_field_kept(basis, av)
-        self.psi_w = self.Pw.values + self.ha.values
+        # h_a, kept by the domain for the latest circulations: every sample
+        # of a probe has the same ones
+        self.ha = g.cached(dom, "h_field", lambda: h_field(basis, av).values, tag=av)
+        self.psi_w = self.Pw.values + self.ha
         self.w_pw = g.integrate(g.ScalarField(dom, w.values * self.Pw.values))
         self.half_aqa = 0.5 * float(av @ (basis.q @ av))
 
     @cached_property
     def energy(self) -> float:
         term1 = 0.5 * self.w_pw
-        term2 = g.integrate(g.ScalarField(self.domain, self.ha.values * self.w.values))
+        term2 = g.integrate(g.ScalarField(self.domain, self.ha * self.w.values))
         return term1 + term2 + self.half_aqa
 
     def energy_casimir(self, lp: LegendrePair) -> float:

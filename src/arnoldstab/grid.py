@@ -136,11 +136,8 @@ class GridDomain:
         self._build_edges()
         self._build_flux_tables()
 
-        # lazily populated caches (object is logically immutable)
-        self._system = None
-        self._grad = None
-        self._contours = {}
-        self._step_grids = None
+        # per-domain solver data, built on first use (see `cached`)
+        self._cache = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -317,6 +314,21 @@ class ScalarField:
 
     def __neg__(self):
         return ScalarField(self.domain, -self.values)
+
+
+def cached(domain: GridDomain, key, build, tag=None):
+    """`build()`, kept in the domain's one cache under `key`: built on first
+    use and returned from the cache afterwards.
+
+    With a `tag` (a circulation vector) the slot keeps the value of the
+    latest tag only, and is built again when a call brings another one.  A
+    kept value holds no reference to the domain (arrays, sparse matrices,
+    factorizations, bases that close over those), so that a domain is freed
+    on `del` without the cyclic garbage collector."""
+    slot = domain._cache.get(key)
+    if slot is None or (tag is not None and not np.array_equal(slot[0], tag)):
+        slot = domain._cache[key] = (None if tag is None else np.array(tag), build())
+    return slot[1]
 
 
 def as_circulation(a, domain):

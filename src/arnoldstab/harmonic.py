@@ -25,7 +25,6 @@ class HarmonicBasis:
         self.p = p
         self.q = q
         self.system = CondensedSystem.of(domain)
-        self._h_field = None  # (a, h_a) of the latest circulations, see functionals
 
     @property
     def n(self) -> int:

@@ -123,8 +123,8 @@ class _Krylov:
     Column j of `hessenberg` holds the coordinates of solve(v_j) in v_0 ..
     v_{j+1}, the last one 0 where the space is exhausted, so that the
     columns give solve V_m = V_{m+1} H_m; `scale` is the norm of the start
-    vector.  `gram` keeps V^T C V for the operator C of its caller, one
-    column per basis vector."""
+    vector.  `gram` keeps V^T A V for the one operator A that its callers
+    pair with the basis, one column per basis vector."""
 
     def __init__(self, solve, start):
         self.solve = solve
@@ -158,18 +158,18 @@ class _Krylov:
             self.exhausted = True
         return coords
 
-    def gram(self, size, stiffness):
-        """V^T C V on the first `size` vectors, upper triangle, C the
-        symmetric operator `stiffness`: one product with C per vector that
-        no earlier call has seen."""
+    def gram(self, size, op):
+        """V^T A V on the first `size` vectors, upper triangle, A the
+        symmetric operator `op`: one product with A per vector that no
+        earlier call has seen."""
         seen = len(self._gram)
         if size > seen:
             G = np.zeros((size, size))
             G[:seen, :seen] = self._gram
             vs = self.vectors
             for j in range(seen, size):
-                cv = stiffness(vs[j])
-                G[: j + 1, j] = [v @ cv for v in vs[: j + 1]]
+                av = op(vs[j])
+                G[: j + 1, j] = [v @ av for v in vs[: j + 1]]
             self._gram = G
         return self._gram[:size, :size]
 
@@ -223,8 +223,8 @@ class _Davidson(_Krylov):
 
 def _inverse(sys):
     """C^-1 on interior values: h^2 times the interior block of K^-1.  It
-    closes over the factorization, not over `sys`, so a basis cached in
-    `sys.cache` makes no reference cycle with it."""
+    closes over the factorization, not over `sys`, so a basis that the
+    domain keeps holds no reference to the domain's objects."""
     lu, h2, n_int, border = sys._lu_K, sys.h2, sys.n_int, np.zeros(sys.n)
 
     def solve(b):
@@ -242,8 +242,6 @@ class _Operator:
         self.c = c
         self.rank_one = rank_one
         self.shift = float(c[0]) if np.ptp(c) == 0 else None
-        self._vav = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
-        self._seen = 0
 
     def stiffness(self, x):
         sys = self.sys
@@ -261,23 +259,19 @@ class _Operator:
 
     def rayleigh_ritz(self, basis, size):
         """V^T (this operator) V on the first `size` vectors of `basis`, upper
-        triangle.  With a `shift` c it is G + c I + rho w w^T, with G = V^T
-        C V kept by the basis and w = V^T v, so only a basis vector that G
-        has not seen costs a product with C; otherwise one product with the
-        operator per new vector, kept for later calls with larger sizes."""
-        if self.shift is not None:
-            rr = basis.gram(size, self.stiffness) + self.shift * np.eye(size)
-            if self.rank_one is not None:
-                rho, v = self.rank_one
-                w = np.array([u @ v for u in basis.vectors[:size]])
-                rr += np.outer(w, rho * w)
-            return rr
-        vs = basis.vectors
-        for j in range(self._seen, size):
-            av = self(vs[j])
-            self._vav[: j + 1, j] = [v @ av for v in vs[: j + 1]]
-        self._seen = max(self._seen, size)
-        return self._vav[:size, :size]
+        triangle, from the basis's `gram`, so only a vector it has not seen
+        costs a product.  With a `shift` c it is G + c I + rho w w^T, with G =
+        V^T C V and w = V^T v, so the shared Lanczos basis keeps G for every
+        constant c; otherwise the basis is a fresh `_Davidson` one of this
+        operator alone, and keeps V^T (this operator) V."""
+        if self.shift is None:
+            return basis.gram(size, self)
+        rr = basis.gram(size, self.stiffness) + self.shift * np.eye(size)
+        if self.rank_one is not None:
+            rho, v = self.rank_one
+            w = np.array([u @ v for u in basis.vectors[:size]])
+            rr += np.outer(w, rho * w)
+        return rr
 
 
 # an overflowing potential turns the Rayleigh-Ritz matrix or the residual
@@ -323,21 +317,22 @@ def _lowest_eig(basis, op):
             )
 
 
-def _condensed(sys, c, rank_one=None):
-    """(basis, op) for the `_Operator` C + diag(c) (+ rho v v^T).
+def _condensed(basis, c, rank_one=None):
+    """(Krylov basis, op) for the `_Operator` C + diag(c) (+ rho v v^T) of
+    the harmonic `basis`'s domain.
 
     Every basis vector costs one solve with C^-1, by the cached factorization
     of K.  A constant c (which comes with v along ones) reads the Lanczos
-    basis of C^-1 from ones, cached per system: it is the Krylov space of (C
-    + c + rho v v^T)^-1 for every c and rho, and it keeps V^T C V for the
-    Rayleigh-Ritz matrices of them all.  A nonconstant c gets a fresh
-    `_Davidson` basis, started from v, or from ones without v.
+    basis of C^-1 from ones, kept by the domain (`grid.cached`): it is the
+    Krylov space of (C + c + rho v v^T)^-1 for every c and rho, and it keeps
+    V^T C V for the Rayleigh-Ritz matrices of them all.  A nonconstant c
+    gets a fresh `_Davidson` basis, started from v, or from ones without v.
     """
+    sys = basis.system
     op = _Operator(sys, c, rank_one)
     if op.shift is not None:
-        if "lanczos_basis" not in sys.cache:
-            sys.cache["lanczos_basis"] = _Krylov(_inverse(sys), np.ones(sys.n_int))
-        return sys.cache["lanczos_basis"], op
+        ones = np.ones(sys.n_int)
+        return g.cached(basis.domain, "lanczos_basis", lambda: _Krylov(_inverse(sys), ones)), op
     start = np.ones(sys.n_int) if rank_one is None else rank_one[1]
     return _Davidson(_inverse(sys), start), op
 
@@ -358,22 +353,22 @@ def _result_from_interior(basis, value, u, iters, res):
 def lambda_c(basis, c) -> SpectralResult:
     """Smallest value of (grad energy + int c u^2) / int u^2 over the
     constrained space, with its minimizer."""
-    sys = basis.system
     if np.isscalar(c):
-        c_int = np.full(sys.n_int, float(c))
+        c_int = np.full(basis.system.n_int, float(c))
     else:
         c_int = c.values[basis.domain.interior_ids]
-    val, u, iters, res = _lowest_eig(*_condensed(sys, c_int))
-    return _result_from_interior(basis, val, u, iters, res)
+    return _result_from_interior(basis, *_lowest_eig(*_condensed(basis, c_int)))
 
 
 def lambda_plain(basis) -> SpectralResult:
-    """Smallest Rayleigh quotient of the Dirichlet energy, cached with the
-    domain's other spectral data in `CondensedSystem.cache`."""
-    cache = basis.system.cache
-    if "lambda_plain" not in cache:
-        cache["lambda_plain"] = lambda_c(basis, 0.0)
-    return cache["lambda_plain"]
+    """Smallest Rayleigh quotient of the Dirichlet energy.  The domain keeps
+    its eigenpair as arrays (value, interior vector, iterations, residual),
+    with its other solver data (`grid.cached`), and each call builds the
+    result from them: a kept result would hold the domain through its
+    minimizer."""
+    zero = np.zeros(basis.system.n_int)
+    pair = g.cached(basis.domain, "lambda_plain", lambda: _lowest_eig(*_condensed(basis, zero)))
+    return _result_from_interior(basis, *pair)
 
 
 def lambda_big(basis, tol: float = _EIG_TOL) -> SpectralResult:
@@ -414,18 +409,21 @@ def check_stability(basis, state) -> CriterionReport:
     Weak criterion: slope of the vorticity profile nonnegative everywhere and
     the quadratic form (grad energy minus slope-weighted mass) nonnegative on
     the constrained space.  Classical criterion: slope strictly positive and
-    strictly below the constrained Rayleigh bound lambda_h.
+    strictly below the constrained Rayleigh bound lambda_h.  A slope whose
+    mass h^2 sum g' over the interior overflows raises `ConvergenceError`
+    before any eigen-solve.
     """
     dom = basis.domain
     gp_all = state.g.deriv(state.psi_bar.values)
     gp_min = float(gp_all.min())
     gp_max = float(gp_all.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = float(gp_all[dom.interior_ids].sum()) * dom.h * dom.h
+    if not np.isfinite(gamma):
+        raise ConvergenceError("slope mass h^2 sum g' = %r is not finite" % gamma)
     lam = lambda_plain(basis).value
-
-    gp_int = gp_all[dom.interior_ids]
     mu = lambda_c(basis, g.ScalarField(dom, -gp_all)).value
     delta0 = weak_pos_def(basis, state)
-    gamma = float(gp_int.sum()) * dom.h * dom.h
     trivial = gamma <= 1e-12 * dom.area * max(1.0, abs(gp_max))
 
     return CriterionReport(
@@ -456,7 +454,6 @@ def weak_pos_def(basis, state) -> float:
     and the form reduces to the plain Dirichlet quotient).
     """
     dom = basis.domain
-    sys = basis.system
     gp_all = state.g.deriv(state.psi_bar.values)
     gp = gp_all[dom.interior_ids]
     h2 = dom.h * dom.h
@@ -465,4 +462,4 @@ def weak_pos_def(basis, state) -> float:
     if gamma > 1e-12 * dom.area * max(1.0, float(np.abs(gp).max(initial=0.0))):
         rho = h2 * h2 / gamma / h2  # quadratic-form weight over the unit mass
         rank_one = (rho, gp.astype(float))
-    return _lowest_eig(*_condensed(sys, -gp.astype(float), rank_one))[0]
+    return _lowest_eig(*_condensed(basis, -gp.astype(float), rank_one))[0]

@@ -119,8 +119,8 @@ def _linear_solve(basis, kappa: float, av):
     The interior part u solves (I - kappa S) u = u0, with S = C^-1 and u0
     the interior part of K^-1 (0, -a), so one Krylov space of S from u0
     serves every kappa (`spectra._Krylov.shifted_solve`; Jegerlehner,
-    hep-lat/9612014, 1996, on shifted Krylov solves).  Its basis is kept in
-    `CondensedSystem.cache` for the latest circulations.  The border rows
+    hep-lat/9612014, 1996, on shifted Krylov solves).  The domain keeps its
+    basis for the latest circulations (`grid.cached`).  The border rows
     give the boundary constants theta = (M^T u - a) / D.  Where the Krylov
     solve does not converge within the basis cap, as for a slope far above
     the spectrum of C, whose solution the smooth space of S does not hold,
@@ -132,11 +132,12 @@ def _linear_solve(basis, kappa: float, av):
         raise SolverError("kappa = %g is resonant with lambda = %g" % (kappa, lam))
     if not av.any():
         return np.zeros(sys.n_int + sys.n), True
-    kept = sys.cache.get("steady_basis")
-    if kept is None or not np.array_equal(kept[0], av):
+
+    def build():
         u0, _ = sys.solve_stream(np.zeros(sys.n_int), av)
-        kept = sys.cache["steady_basis"] = (av.copy(), spectra._Krylov(spectra._inverse(sys), u0))
-    u, converged = kept[1].shifted_solve(kappa)
+        return spectra._Krylov(spectra._inverse(sys), u0)
+
+    u, converged = g.cached(basis.domain, "steady_basis", build, tag=av).shifted_solve(kappa)
     if not converged:
         rhs = np.concatenate([np.zeros(sys.n_int), -av])
         return sys.solve_shifted(kappa * sys.h2, rhs), False

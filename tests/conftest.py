@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arnoldstab import grid, harmonic, oracle, spectra, steady
+from arnoldstab import field, grid, harmonic, oracle, spectra, steady
 from arnoldstab.functionals import GFunc
 
 
@@ -54,6 +54,42 @@ def radial():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240801)
+
+
+class CountingLU:
+    """A factorization that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def counting_factorizations(monkeypatch):
+    """The list that every later factorization is appended to, each as a
+    `CountingLU`."""
+    lus = []
+    splu = field.splu
+
+    def counting_splu(*args, **kwargs):
+        lus.append(CountingLU(splu(*args, **kwargs)))
+        return lus[-1]
+
+    monkeypatch.setattr(field, "splu", counting_splu)
+    return lus
+
+
+def _unbuilt():
+    raise LookupError("the slot holds no value for this key and tag")
+
+
+def kept(domain, key, tag=None):
+    """The value that `grid.cached` keeps for (key, tag) on the domain;
+    `LookupError` where the slot would have to be built."""
+    return grid.cached(domain, key, _unbuilt, tag)
 
 
 def same_float(a, b):

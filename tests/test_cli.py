@@ -477,17 +477,20 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "kappa, message",
     [
-        ("1e308", "Rayleigh-Ritz matrix is not finite"),
+        pytest.param("1e308", "slope mass h^2 sum g' = inf is not finite", id="1e308-slope-mass"),
         ("1e200", "Rayleigh-Ritz left residual inf after 4 solves"),
         ("1e150", "steady linear residual"),
-        ("-1e308", "Rayleigh-Ritz left residual inf after 4 solves"),
+        pytest.param(
+            "-1e308", "slope mass h^2 sum g' = -inf is not finite", id="-1e308-slope-mass"
+        ),
     ],
 )
 def test_non_finite_rayleigh_ritz_exits_3(kappa, message, tmp_path, capsys):
-    """A slope that overflows the steady solve or its eigen-solve is a solver
-    error, raised by the certificate or at the first Rayleigh-Ritz step, not
-    a traceback or a run to the basis cap, and numpy and scipy warn of no
-    overflow before it."""
+    """A slope that overflows the steady solve, the slope mass of its verdict
+    or its eigen-solve is a solver error, raised by the certificate, before
+    any eigen-solve or at the first Rayleigh-Ritz step, not a traceback or a
+    run to the basis cap, and numpy and scipy warn of no overflow before
+    it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("spectra", *BASE, "--kappa=" + kappa, "--out", str(tmp_path / "o"))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from arnoldstab import field, grid, oracle
+from arnoldstab import dynamics, field, functionals as fn, grid, harmonic, oracle
+from arnoldstab import rearrange, spectra, steady
 from arnoldstab.errors import GridError
 
-from conftest import random_interior_field
+from conftest import random_interior_field, tanh_profile
 
 
 def _green(dom, phi):
@@ -400,9 +401,17 @@ def _circulation_oracle(v, k, omega=None):
     [lambda: grid.build_annulus(1.0, 2.0, 32), _two_hole_frame_edge],
     ids=["annulus32", "two_hole_frame_edge"],
 )
-def test_circulation_matches_full_grid_sum(build):
+def test_circulation_matches_full_grid_sum(build, monkeypatch):
     """The cached contour gives bit-identical sums, and is built once per
     (domain, component)."""
+    builds = []
+    contour = field._contour
+
+    def counting(dom, k):
+        builds.append(k)
+        return contour(dom, k)
+
+    monkeypatch.setattr(field, "_contour", counting)
     dom = build()
     rng = np.random.default_rng(5)
     for k in range(1, dom.n_components):
@@ -413,17 +422,13 @@ def test_circulation_matches_full_grid_sum(build):
             omega = dom.field(rng.standard_normal(dom.n_nodes))
             assert field.circulation(v, k) == _circulation_oracle(v, k)
             assert field.circulation(v, k, omega) == _circulation_oracle(v, k, omega)
-        contour = dom._contours[k]
-        field.circulation(v, k)
-        assert dom._contours[k] is contour
+    assert builds == list(range(1, dom.n_components))
 
 
 # -- lazy certificate ------------------------------------------------------------
 
 
 def test_stream_certificate_matches_steady_certify(basis32, stable_state32):
-    from arnoldstab import steady
-
     st = stable_state32
     sol = field.stream_solve(basis32, st.omega_bar, st.a)
     ref = steady._certify(sol.psi, sol.omega, sol.a, st.g, 1)
@@ -448,25 +453,35 @@ def test_stream_certificate_is_lazy(basis32, monkeypatch):
     assert len(calls) == 1
 
 
-def test_condensed_system_freed_without_collector():
-    """The condensed system keeps no reference to its domain, and the bases
-    it caches close over its factorization, not over it: with the cyclic
-    garbage collector off, dropping the domain and its basis frees the
-    system, after stream solves and cached Lanczos and fresh Davidson
-    eigen-solves."""
-    from arnoldstab import harmonic, spectra
+def _full_pipeline():
+    """Weak references to a res-16 annulus and its condensed system after
+    the full pipeline on it: basis, lambda, a linear and a tanh state with
+    their verdicts, both probes, a transport step and a circulation."""
+    dom = grid.build_annulus(1.0, 2.0, 16)
+    basis = harmonic.solve_basis(dom)
+    lam = spectra.lambda_plain(basis).value
+    st = steady.steady_linear(basis, 0.5 * lam, [1.0])
+    spectra.check_stability(basis, st)
+    spectra.check_stability(basis, steady.steady_newton(basis, tanh_profile(lam), [1.0]))
+    rearrange.local_max_probe(basis, st, 0.1 * grid.lp_norm(st.omega_bar), 3, 5)
+    gext = fn.extend_g(st.g, st.psi_min, st.psi_max)
+    rearrange.supporting_probe(basis, st, gext, 3, 5, fn.legendre(gext))
+    state = dynamics.step(
+        dynamics.init_state(basis, st.omega_bar, st.a), dynamics.SimConfig(t_final=0.01, dt=0.01)
+    )
+    field.circulation(state.vel, 1, state.omega)
+    return weakref.ref(dom), weakref.ref(basis.system)
 
+
+def test_condensed_system_freed_without_collector():
+    """Nothing the domain caches refers back to it (the condensed system
+    keeps no domain, the bases close over its factorization, and lambda is
+    kept as arrays), so with the cyclic garbage collector off the domain and
+    its condensed system are freed once the last outside reference goes."""
     gc.disable()
     try:
-        dom = grid.build_annulus(1.0, 2.0, 16)
-        basis = harmonic.solve_basis(dom)
-        field.stream_solve(basis, dom.constant(1.0), [1.0])
-        field.p_apply(basis, dom.constant(1.0))
-        spectra.lambda_c(basis, 0.7)
-        spectra.lambda_c(basis, grid.ScalarField(dom, dom.node_x))
-        assert "lanczos_basis" in basis.system.cache
-        system = weakref.ref(basis.system)
-        del dom, basis
+        domain, system = _full_pipeline()
+        assert domain() is None
         assert system() is None
     finally:
         gc.enable()

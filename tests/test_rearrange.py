@@ -430,9 +430,9 @@ def test_criterion_6_values_equal_one_call_per_functional(tmp_path):
     assert res.details["mu_at_state"] == abs(mu0)
 
 
-def test_probes_build_the_harmonic_field_once(stable_state32, monkeypatch):
+def test_probes_build_the_harmonic_field_once(monkeypatch):
     """Every sample of a probe has the circulations of the steady state, so
-    a fresh basis builds h_a once for both probes together."""
+    a fresh domain builds h_a once for both probes together."""
     calls = []
     h_field = fn.h_field
 
@@ -441,8 +441,8 @@ def test_probes_build_the_harmonic_field_once(stable_state32, monkeypatch):
         return h_field(basis, a)
 
     monkeypatch.setattr(fn, "h_field", counting)
-    st = stable_state32
-    basis = harmonic.solve_basis(st.psi_bar.domain)
+    basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 16))
+    st = steady.steady_linear(basis, 0.5 * spectra.lambda_plain(basis).value, [1.0])
     gext = fn.extend_g(st.g, st.psi_min, st.psi_max)
     ra.local_max_probe(basis, st, 0.1 * grid.lp_norm(st.omega_bar), 3, 5)
     ra.supporting_probe(basis, st, gext, 3, 5, fn.legendre(gext))

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import eigsh, spsolve
 from arnoldstab import field, functionals as fn, grid, harmonic, oracle, spectra, steady
 from arnoldstab.errors import ConvergenceError, SolverError
 
-from conftest import tanh_profile
+from conftest import CountingLU, counting_factorizations, kept, tanh_profile
 
 
 def test_zero_slope_is_circulation_flow(basis32):
@@ -79,34 +79,10 @@ def test_steady_linear_matches_direct_solve(which, frac, basis32, two_hole_basis
     assert np.abs(st.psi_bar.values - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-class _CountingLU:
-    def __init__(self, lu):
-        self.lu = lu
-        self.solves = 0
-
-    def solve(self, b):
-        self.solves += 1
-        return self.lu.solve(b)
-
-
-def _counting_factorizations(monkeypatch):
-    """The list that every later factorization is appended to, each as a
-    `_CountingLU`."""
-    lus = []
-    splu = field.splu
-
-    def counting_splu(*args, **kwargs):
-        lus.append(_CountingLU(splu(*args, **kwargs)))
-        return lus[-1]
-
-    monkeypatch.setattr(field, "splu", counting_splu)
-    return lus
-
-
 def test_steady_linear_solves_with_K(monkeypatch):
     """A res-32 steady state takes at most 30 solves with the cached
     factorization of K, and factorizes nothing."""
-    lus = _counting_factorizations(monkeypatch)
+    lus = counting_factorizations(monkeypatch)
     basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
     lam = spectra.lambda_plain(basis).value
     for frac in (0.5, 1.5):
@@ -155,7 +131,7 @@ def test_second_slope_reads_the_steady_basis(monkeypatch):
     the steady solves: once lambda and the first state are built, a second
     slope on the res-32 annulus costs at most 4 LU solves (one MINRES solve
     per slope took 13).  A new circulation vector takes the one slot."""
-    lus = _counting_factorizations(monkeypatch)
+    lus = counting_factorizations(monkeypatch)
     basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
     lam = spectra.lambda_plain(basis).value
     assert steady.steady_linear(basis, 0.5 * lam, [1.0]).certified
@@ -163,9 +139,9 @@ def test_second_slope_reads_the_steady_basis(monkeypatch):
     assert steady.steady_linear(basis, 1.5 * lam, [1.0]).certified
     assert lus[0].solves <= 4
     steady.steady_linear(basis, 0.5 * lam, [0.3])
-    kept = [k for k in basis.system.cache if k.startswith("steady")]
-    assert kept == ["steady_basis"]
-    assert np.array_equal(basis.system.cache["steady_basis"][0], [0.3])
+    assert isinstance(kept(basis.domain, "steady_basis", tag=[0.3]), spectra._Krylov)
+    with pytest.raises(LookupError):
+        kept(basis.domain, "steady_basis", tag=[1.0])
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +172,7 @@ def test_linear_refinement_is_one_solve_with_K(basis128, monkeypatch):
     sys = basis128.system
     lam = spectra.lambda_plain(basis128).value
     steady.steady_linear(basis128, 0.5 * lam, [1.0])  # the steady basis exists
-    counting = _CountingLU(sys._lu_K)
+    counting = CountingLU(sys._lu_K)
     monkeypatch.setattr(sys, "_lu_K", counting)
     st = steady.steady_linear(basis128, 0.3 * lam, [1.0])
     assert st.certified
@@ -265,7 +241,7 @@ def test_newton_solves_with_K(monkeypatch):
     """The res-32 tanh state factorizes nothing and takes at most 50 solves
     with the cached factorization of K (the damped fixed-point iteration
     took 90)."""
-    lus = _counting_factorizations(monkeypatch)
+    lus = counting_factorizations(monkeypatch)
     basis = harmonic.solve_basis(grid.build_annulus(1.0, 2.0, 32))
     gf = tanh_profile(spectra.lambda_plain(basis).value)
     lus[0].solves = 0
