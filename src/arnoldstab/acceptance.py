@@ -17,6 +17,9 @@ import numpy as np
 
 from . import dynamics, field, functionals, grid, harmonic, oracle, rearrange, spectra, steady
 
+# shooting steps of the radial oracle problem on the annulus 1 < r < 2
+_RADIAL_N = 4096
+
 
 @dataclass
 class CriterionResult:
@@ -69,8 +72,8 @@ class AcceptanceContext:
             lambda: steady.steady_linear(self.basis(res), 0.5 * self.lam(res), [1.0]),
         )
 
-    def radial(self, n=4096):
-        return self._kept(("radial", n), lambda: oracle.RadialProblem(1.0, 2.0, n))
+    def radial(self):
+        return self._kept("radial", lambda: oracle.RadialProblem(1.0, 2.0, _RADIAL_N))
 
 
 # -- criteria -------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Batch command-line surface.
 
-Subcommands assemble the library pieces into reproducible pipelines: every
-run echoes its configuration, versions, seed, and wall time into a
-manifest.json in the output directory.  Every tabular result is a CSV file
-written through `grid.write_csv` (or, for the rows `functional` appends to
-functional.csv and the table `oracle` prints, through `grid.csv_line`), so
-cells are formatted in one place and identical configurations produce
-bit-identical files.
+Subcommands assemble the library pieces into reproducible pipelines, and
+each takes only the options its handler reads.  Every run echoes those
+options, versions, seed (null where the subcommand takes none), and wall
+time into a manifest.json in the output directory.  Every tabular result is
+a CSV file written through `grid.write_csv` (or, for the rows `functional`
+appends to functional.csv and the table `oracle` prints, through
+`grid.csv_line`), so cells are formatted in one place and identical
+configurations produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _write_manifest(out, args, t0, outputs):
         "package_version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "thread_cap": _threads,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
@@ -228,8 +229,7 @@ def _write_manifest(out, args, t0, outputs):
 
 
 def _basis(args):
-    dom = _build_domain(args)
-    return harmonic.solve_basis(dom, tol=args.tol)
+    return harmonic.solve_basis(_build_domain(args))
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -500,6 +500,63 @@ def _cmd_verify_all(args):
     return ["acceptance.csv"], (4 if n_fail else 0)
 
 
+# every option once: its flag and its add_argument settings
+_OPTIONS = {
+    "domain": dict(default="annulus", choices=["annulus", "mask"]),
+    "rin": dict(type=_finite, default=1.0),
+    "rout": dict(type=_finite, default=2.0),
+    "res": dict(type=_count(1), default=32),
+    "mask-file": dict(default=None),
+    "out": dict(default="out"),
+    "g": dict(default=None, help="linear:K | affine:K,C | table:FILE"),
+    "kappa": dict(type=_finite, default=None),
+    "a": dict(type=_numbers(_finite), default="1.0", help="comma-separated circulations"),
+    "omega": dict(default=None, help="vorticity field file"),
+    "omega-const": dict(type=_finite, default=None),
+    "functional": dict(default=None, choices=["E", "EC", "D", "Ds", "Dhat", "H"]),
+    "s": dict(type=_finite, default=0.0),
+    "m": dict(type=_finite, default=None, help="mass (default: that of omega)"),
+    "seed": dict(type=int, default=20240801),
+    "radius-frac": dict(type=_positive, default=0.1),
+    "samples": dict(type=_count(1), default=200),
+    "b-offset": dict(type=_finite, default=0.0),
+    "turnovers": dict(type=_finite, default=1.0),
+    "t-final": dict(type=_finite, default=None, help="overrides --turnovers"),
+    "cfl": dict(type=_finite, default=0.5),
+    "perturb": dict(default="none:0", help="swap:AMP | bump:AMP | none:0"),
+    "cadence": dict(type=_count(1), default=8),
+    "snap-every": dict(type=_count(0), default=0),
+    "n": dict(type=int, default=4096),
+    "csv": dict(default=None),
+    "x": dict(default=None),
+    "ys": dict(default=None),
+    "svg": dict(default="plot.svg"),
+    "quick": dict(action="store_true", default=False),
+    "criteria": dict(type=_numbers(int), default=None, help="comma-separated criterion ids"),
+}
+
+_DOMAIN = ("domain", "rin", "rout", "res", "mask-file", "out")  # the grid, and where outputs go
+_STEADY = (*_DOMAIN, "g", "kappa", "a")
+
+# each subcommand takes the options its handler reads, and no others
+_COMMANDS = {
+    "gen": _DOMAIN,
+    "harmonic": _DOMAIN,
+    "stream": (*_DOMAIN, "a", "omega", "omega-const"),
+    "functional": (*_STEADY, "functional", "omega", "omega-const", "s", "m"),
+    "spectra": _STEADY,
+    "steady": _STEADY,
+    "probe": (*_STEADY, "seed", "radius-frac", "samples"),
+    "simulate": (
+        *_STEADY, "seed", "b-offset", "turnovers", "t-final", "cfl", "perturb", "cadence",
+        "snap-every",
+    ),
+    "oracle": ("rin", "rout", "n"),
+    "report": ("out", "csv", "x", "ys", "svg"),
+    "verify-all": ("seed", "out", "quick", "criteria"),
+}
+
+
 def build_parser():
     """The command-line parser: the one declaration of every option's name,
     type and default, for flags and config files alike."""
@@ -509,82 +566,13 @@ def build_parser():
     )
     p.add_argument("--config", help="key=value file of option values (flags override)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--domain", default="annulus", choices=["annulus", "mask"])
-        sp.add_argument("--rin", type=_finite, default=1.0)
-        sp.add_argument("--rout", type=_finite, default=2.0)
-        sp.add_argument("--res", type=int, default=32)
-        sp.add_argument("--mask-file", dest="mask_file", default=None)
-        sp.add_argument("--g", default=None, help="linear:K | affine:K,C | table:FILE")
-        sp.add_argument("--kappa", type=_finite, default=None)
-        sp.add_argument(
-            "--a", type=_numbers(_finite), default="1.0", help="comma-separated circulations"
-        )
-        sp.add_argument("--b-offset", dest="b_offset", type=_finite, default=0.0)
-        sp.add_argument("--seed", type=int, default=20240801)
-        sp.add_argument(
-            "--tol", type=_positive, default=1e-10, help="harmonic basis residual bound, times h^2"
-        )
-        sp.add_argument("--out", default="out")
-
-    for name, fn in [
-        ("gen", _cmd_gen),
-        ("harmonic", _cmd_harmonic),
-        ("stream", _cmd_stream),
-        ("functional", _cmd_functional),
-        ("spectra", _cmd_spectra),
-        ("steady", _cmd_steady),
-        ("probe", _cmd_probe),
-        ("simulate", _cmd_simulate),
-        ("oracle", _cmd_oracle),
-        ("report", _cmd_report),
-        ("verify-all", _cmd_verify_all),
-    ]:
+    for name, options in _COMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
-        sp.set_defaults(func=fn)
-
-    sp = sub.choices["stream"]
-    sp.add_argument("--omega", default=None, help="vorticity field file")
-    sp.add_argument("--omega-const", dest="omega_const", type=_finite, default=None)
-
-    sp = sub.choices["functional"]
-    sp.add_argument("--functional", default=None, choices=["E", "EC", "D", "Ds", "Dhat", "H"])
-    sp.add_argument("--omega", default=None)
-    sp.add_argument("--omega-const", dest="omega_const", type=_finite, default=None)
-    sp.add_argument("--s", type=_finite, default=0.0)
-    sp.add_argument("--m", type=_finite, default=None, help="mass (default: that of omega)")
-
-    sp = sub.choices["probe"]
-    sp.add_argument("--radius-frac", dest="radius_frac", type=_positive, default=0.1)
-    sp.add_argument("--samples", type=_count(1), default=200)
-
-    sp = sub.choices["simulate"]
-    sp.add_argument("--turnovers", type=_finite, default=1.0)
-    sp.add_argument(
-        "--t-final", dest="t_final", type=_finite, default=None, help="overrides --turnovers"
-    )
-    sp.add_argument("--cfl", type=_finite, default=0.5)
-    sp.add_argument("--perturb", default="none:0", help="swap:AMP | bump:AMP | none:0")
-    sp.add_argument("--cadence", type=_count(1), default=8)
-    sp.add_argument("--snap-every", dest="snap_every", type=_count(0), default=0)
-
-    sp = sub.choices["oracle"]
-    sp.add_argument("--n", type=int, default=4096)
-
-    sp = sub.choices["report"]
-    sp.set_defaults(out=None)  # the directory of --csv
-    sp.add_argument("--csv", default=None)
-    sp.add_argument("--x", default=None)
-    sp.add_argument("--ys", default=None)
-    sp.add_argument("--svg", default="plot.svg")
-
-    sp = sub.choices["verify-all"]
-    sp.add_argument("--quick", action="store_true", default=False)
-    sp.add_argument(
-        "--criteria", type=_numbers(int), default=None, help="comma-separated criterion ids"
-    )
+        for option in options:
+            sp.add_argument("--" + option, **_OPTIONS[option])
+        # looked up here, not bound at import, so a replaced handler is the one run
+        sp.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
+    sub.choices["report"].set_defaults(out=None)  # the directory of --csv
     return p
 
 

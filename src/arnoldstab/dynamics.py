@@ -74,8 +74,10 @@ class SimConfig:
             raise GridError("dt must be positive")
         if not 0.0 < self.cfl <= 0.9:
             raise GridError("CFL target must lie in (0, 0.9]")
-        if self.t_final <= 0:
-            raise GridError("t_final must be positive")
+        if not 0.0 < self.t_final < math.inf:  # NaN fails too
+            raise GridError("t_final must be positive and finite, got %r" % (self.t_final,))
+        if self.monitor_every < 1:
+            raise GridError("monitor_every must be at least 1, got %r" % (self.monitor_every,))
 
 
 @dataclass
@@ -453,7 +455,7 @@ def run(basis, omega0: g.ScalarField, b, cfg: SimConfig, on_monitor=None) -> Dia
             _fast_dist(dom, state.omega.values, reference.values),
         )
         if (
-            state.step_index % max(1, cfg.monitor_every) == 0
+            state.step_index % cfg.monitor_every == 0
             or state.t >= cfg.t_final - 1e-12
         ):
             series.rows.append(_monitor_row(state, cfg, omega0, reference))

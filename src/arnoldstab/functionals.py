@@ -290,15 +290,20 @@ def _generalized_inverse(gf: GFunc):
     return f
 
 
-def _golden_min(fun, lo, hi, tol=1e-12, max_iter=300):
+# relative bracket width, and the iteration cap, of `_golden_min`
+_GOLDEN_TOL = 1e-12
+_GOLDEN_MAX_ITER = 300
+
+
+def _golden_min(fun, lo, hi):
     """Golden-section minimum of a unimodal function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= tol * max(1.0, abs(a), abs(b)):
+    for _ in range(_GOLDEN_MAX_ITER):
+        if abs(b - a) <= _GOLDEN_TOL * max(1.0, abs(a), abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc

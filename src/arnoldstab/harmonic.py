@@ -15,6 +15,9 @@ from . import grid as g
 from .errors import ConvergenceError, GridError, SolverError
 from .field import CondensedSystem
 
+# bound on each zeta's interior Laplacian residual, times max(1, 1/h^2)
+_RESIDUAL_TOL = 1e-10
+
 
 class HarmonicBasis:
     """Harmonic fields zeta_1..zeta_N with Gram matrix p and inverse q."""
@@ -31,7 +34,7 @@ class HarmonicBasis:
         return len(self.zetas)
 
 
-def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
+def solve_basis(domain: g.GridDomain) -> HarmonicBasis:
     """Solve the N harmonic boundary problems and assemble p and q.
 
     All N come from the factorization of the condensed system: the bordered
@@ -44,8 +47,6 @@ def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
     symmetric positive definite with p q = I to 1e-10 or the component
     labeling is considered broken.
     """
-    if not tol > 0:
-        raise GridError("tol must be positive, got %r" % (tol,))
     n = domain.n_components - 1
     sys = CondensedSystem.of(domain)
     if n == 0:
@@ -63,7 +64,7 @@ def solve_basis(domain: g.GridDomain, tol: float = 1e-10) -> HarmonicBasis:
     for i in range(n):
         zeta = g.ScalarField(domain, sys.embed(Z[i], eye[i]))
         res = g.linf(g.neg_laplacian(zeta))
-        if res > tol * max(1.0, 1.0 / domain.h**2):
+        if res > _RESIDUAL_TOL * max(1.0, 1.0 / domain.h**2):
             raise ConvergenceError(
                 "harmonic solve for component %d left residual %.3e" % (i + 1, res)
             )

@@ -150,7 +150,11 @@ def eigen_mismatch(rp: RadialProblem, mu: float) -> float:
     return float(_shoot(rp, mu, 1.0, 0.0)[-1])
 
 
-def radial_eigen(rp: RadialProblem, kind: str = "lambda_Y", tol: float = 1e-10) -> float:
+# relative width at which the eigenvalue bisection of `radial_eigen` stops
+_BISECT_TOL = 1e-10
+
+
+def radial_eigen(rp: RadialProblem, kind: str = "lambda_Y") -> float:
     """Smallest eigenvalue of -lap on the annulus, radial modes.
 
     kind 'lambda_Y': u'(r_in) = 0, u(r_out) = 0 (the zero-flux problem).
@@ -172,7 +176,7 @@ def radial_eigen(rp: RadialProblem, kind: str = "lambda_Y", tol: float = 1e-10) 
         if hi > 1e7:
             raise ConvergenceError("no sign change while bracketing the eigenvalue")
         f_hi = mismatch(hi)
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _BISECT_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         f_mid = mismatch(mid)
         if f_lo * f_mid <= 0:

@@ -61,6 +61,8 @@ class ProbeReport:
 _BLOCK = 256
 # consecutive rejected proposals that end a walk
 _REJECT_RUN = 32
+# accepted swaps per interior cell that end a walk
+_SWAPS_PER_CELL = 4
 
 
 def random_swaps(omega_bar: g.ScalarField, k: int, seed: int) -> RearrangementSample:
@@ -80,32 +82,25 @@ def random_swaps(omega_bar: g.ScalarField, k: int, seed: int) -> RearrangementSa
     return RearrangementSample(g.ScalarField(dom, vals), dist, int(k), int(seed))
 
 
-def swaps_within_radius(
-    omega_bar: g.ScalarField,
-    radius: float,
-    seed: int,
-    max_swaps: int | None = None,
-) -> RearrangementSample:
+def swaps_within_radius(omega_bar: g.ScalarField, radius: float, seed: int) -> RearrangementSample:
     """Random transpositions accepted while the L2 distance stays below radius.
 
     The squared distance is tracked incrementally on Python floats, and the
     swapped values live in an overlay of the touched cells until the walk
-    ends: after a run of _REJECT_RUN rejected proposals, or at max_swaps
-    (default four times the interior cell count).  The reported distance is
-    summed exactly over the touched cells.
+    ends: after a run of _REJECT_RUN rejected proposals, or at
+    _SWAPS_PER_CELL accepted swaps per interior cell.  The reported distance
+    is summed exactly over the touched cells.
     """
     radius = float(radius)
     if not (math.isfinite(radius) and radius >= 0.0):
         raise GridError("radius must be finite and nonnegative")
-    if max_swaps is not None and max_swaps < 0:
-        raise GridError("swap cap must be nonnegative")
     dom = omega_bar.domain
     rng = np.random.default_rng(seed)
     base = omega_bar.values
     ii = dom.interior_ids
     n = len(ii)
     h2 = dom.h * dom.h
-    cap = 4 * n if max_swaps is None else max_swaps
+    cap = _SWAPS_PER_CELL * n
     moved = {}  # node -> current value, for every touched cell
     dist_p = 0.0
     swaps = rejected = 0
@@ -157,19 +152,17 @@ def hl_coupling(v0, w_tilde: g.ScalarField) -> g.ScalarField:
     return g.ScalarField(dom, out)
 
 
-def histogram_distance(w1: g.ScalarField, w2: g.ScalarField, bins: int | None = None) -> float:
+def histogram_distance(w1: g.ScalarField, w2: g.ScalarField) -> float:
     """L1 distance between the value histograms of two fields, computed on
     shared bin edges spanning both ranges; each interior cell carries mass h^2.
     Zero exactly for rearrangement pairs.
 
-    With bins=None the count follows Sturges' rule for the cell count, the
-    standard choice for comparing empirical distributions of n samples.
+    The bin count follows Sturges' rule for the cell count, the standard
+    choice for comparing empirical distributions of n samples, and is at
+    least 8.
     """
     dom = w1.domain
-    if bins is None:
-        bins = max(8, int(math.log2(max(dom.n_interior, 2))) + 1)
-    if bins < 1:
-        raise GridError("need at least one bin")
+    bins = max(8, int(math.log2(max(dom.n_interior, 2))) + 1)
     a = w1.values[dom.interior_ids]
     b = w2.values[w2.domain.interior_ids]
     lo = min(a.min(), b.min())

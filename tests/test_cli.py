@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,8 @@ def test_gen_writes_domain_and_manifest(tmp_path):
     assert fld.domain.n_components == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "gen"
-    assert manifest["seed"] == 20240801
+    assert manifest["seed"] is None  # gen takes no --seed
+    assert "seed" not in manifest["config"]
     assert "domain.sfld" in manifest["outputs"]
 
 
@@ -267,21 +270,22 @@ def _exit_code(*argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["steady", "--g", "affine:1.0"],
-        ["steady", "--g", "linear:abc"],
-        ["steady", "--g", "table:missing.csv"],
-        ["steady", "--kappa", "1.0", "--a", "1,x"],
-        ["simulate", "--kappa", "1.0", "--turnovers", "0.05", "--perturb", "bump:abc"],
+        ["steady", *BASE, "--g", "affine:1.0"],
+        ["steady", *BASE, "--g", "linear:abc"],
+        ["steady", *BASE, "--g", "table:missing.csv"],
+        ["steady", *BASE, "--kappa", "1.0", "--a", "1,x"],
+        ["simulate", *BASE, "--kappa", "1.0", "--turnovers", "0.05", "--perturb", "bump:abc"],
         ["verify-all", "--criteria", "1,x"],
-        ["stream", "--omega-const", "abc"],
+        ["stream", *BASE, "--omega-const", "abc"],
     ],
     ids=["affine", "linear", "table", "a", "perturb", "criteria", "omega-const"],
 )
 def test_malformed_value_is_config_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # table:missing.csv is looked up here
-    assert _exit_code(*argv[:1], *BASE, *argv[1:], "--out", str(tmp_path / "o")) == 2
+    assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
+    assert "unrecognized arguments" not in err
     assert "Traceback" not in err
 
 
@@ -334,13 +338,13 @@ def test_config_values_reach_handler(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, flag, text, key, value",
     [
-        ("gen", "--kappa", "-2", "kappa", -2.0),
-        ("gen", "--kappa", "-1e3", "kappa", -1000.0),
-        ("gen", "--kappa", "-2E-1", "kappa", -0.2),
-        ("gen", "--kappa", "-.5e+1", "kappa", -5.0),
-        ("gen", "--a", "-1e3", "a", (-1000.0,)),
-        ("gen", "--a", "-1,2e-1", "a", (-1.0, 0.2)),
-        ("gen", "--b-offset", "-1.5e-2", "b_offset", -0.015),
+        ("steady", "--kappa", "-2", "kappa", -2.0),
+        ("steady", "--kappa", "-1e3", "kappa", -1000.0),
+        ("steady", "--kappa", "-2E-1", "kappa", -0.2),
+        ("steady", "--kappa", "-.5e+1", "kappa", -5.0),
+        ("steady", "--a", "-1e3", "a", (-1000.0,)),
+        ("steady", "--a", "-1,2e-1", "a", (-1.0, 0.2)),
+        ("simulate", "--b-offset", "-1.5e-2", "b_offset", -0.015),
         ("functional", "--s", "-3e-1", "s", -0.3),
         ("functional", "--m", "-4E2", "m", -400.0),
     ],
@@ -358,7 +362,7 @@ def test_negative_number_is_a_value(command, flag, text, key, value, tmp_path, m
 def test_dash_token_still_checked(argv, tmp_path, capsys):
     """An unknown flag, a malformed negative number, and a dash with no digit
     after it are still configuration errors."""
-    assert _exit_code("gen", *argv, "--out", str(tmp_path / "o")) == 2
+    assert _exit_code("steady", *argv, "--out", str(tmp_path / "o")) == 2
     assert "config error:" in capsys.readouterr().err
 
 
@@ -406,11 +410,10 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         ["stream", *BASE, "--a", "1,2"],
         ["simulate", *BASE, "--kappa", "1", "--turnovers", "0.05", "--perturb", "foo:1"],
         ["gen", "--res", "0"],
+        ["gen", "--domain", "mask", "--mask-file", "m.rle", "--res", "0"],
         ["gen", "--rin", "2", "--rout", "1"],
         ["gen", "--rout", "inf"],
         ["gen", "--res", "100000000"],
-        ["harmonic", *BASE, "--tol", "nan"],
-        ["harmonic", *BASE, "--tol", "0"],
         ["steady", *BASE, "--kappa", "nan"],
         ["steady", *BASE, "--kappa", "inf"],
         ["steady", *BASE, "--g", "linear:nan"],
@@ -437,11 +440,10 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         "stream-a-length",
         "perturb-mode",
         "res-0",
+        "mask-res-0",
         "radii",
         "rout-inf",
         "res-huge",
-        "tol-nan",
-        "tol-0",
         "kappa-nan",
         "kappa-inf",
         "g-linear-nan",
@@ -464,14 +466,61 @@ def test_config_rejects_what_no_flag_accepts(command, text, tmp_path, monkeypatc
         "oracle-radii",
     ],
 )
-def test_bad_input_exits_2(argv, tmp_path, capsys):
+def test_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     """Input that the option parser, the grid, the circulation check, the
     radial oracle or the time-integration settings reject is a configuration
     error (exit 2), not a solver error."""
-    assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
+    monkeypatch.chdir(tmp_path)  # m.rle is a readable mask here
+    (tmp_path / "m.rle").write_text("RLE 6 5\n6 1\n6 1\n2 1 2 0 2 1\n6 1\n6 1\n")
+    out = [] if argv[0] == "oracle" else ["--out", str(tmp_path / "o")]  # oracle writes no files
+    assert _exit_code(*argv, *out) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
+    assert "unrecognized arguments" not in err
     assert "solver error:" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("verify-all", "--res", "64"),
+        ("oracle", "--out", "x"),
+        ("report", "--kappa", "1"),
+        ("gen", "--seed", "3"),
+        ("functional", "--b-offset", "1"),
+        ("harmonic", "--tol", "1e-9"),
+    ],
+)
+def test_subcommand_rejects_options_it_does_not_read(
+    command, flag, value, tmp_path, monkeypatch, capsys
+):
+    """An option of another subcommand, or one no subcommand takes, is refused
+    as a flag and as a config-file key, before the handler runs."""
+    monkeypatch.chdir(tmp_path)
+    _capture(monkeypatch, command)
+    assert _exit_code(command, flag, value) == 2
+    assert "config error:" in capsys.readouterr().err
+    cfg = _config(tmp_path, "%s = %s\n" % (flag[2:], value))
+    assert _exit_code("--config", cfg, command) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_each_subcommands_options():
+    """README's option table names exactly the options each subcommand takes."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| subcommand | options |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.strip().splitlines()[1:]:
+        commands, options = row.strip("|").split("|")
+        for command in re.findall(r"`([\w-]+)`", commands):
+            listed[command] = set(re.findall(r"`(--[\w-]+)`", options))
+    parsed = {
+        name: {s for action in sp._actions if action.dest != "help" for s in action.option_strings}
+        for name, sp in cli._subcommands(cli.build_parser()).items()
+    }
+    assert listed == parsed
+    assert sum(map(len, parsed.values())) == 94
 
 
 @pytest.mark.parametrize(

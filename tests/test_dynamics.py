@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,18 @@ def test_config_validation():
         dyn.SimConfig(t_final=1.0, cfl=1.2)
     with pytest.raises(GridError):
         dyn.SimConfig(t_final=-1.0)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [dict(t_final=math.nan), dict(t_final=math.inf), dict(monitor_every=0), dict(monitor_every=-3)],
+    ids=["t_final-nan", "t_final-inf", "monitor_every-0", "monitor_every-negative"],
+)
+def test_config_rejects_unbounded_horizon_and_cadence(settings):
+    """A horizon that is NaN or infinite, or a monitor cadence below 1, is
+    refused when the configuration is built, not met by `run`."""
+    with pytest.raises(GridError):
+        dyn.SimConfig(**{"t_final": 1.0, **settings})
 
 
 def test_zero_vorticity_stays_zero(basis32, short_cfg):

@@ -78,9 +78,3 @@ def test_p_permutation_equivariance_two_holes():
     assert basis.n == 2
     assert abs(basis.p[0, 0] - basis.p[1, 1]) <= 1e-8 * basis.p[0, 0]
     assert abs(basis.p[0, 1] - basis.p[1, 0]) <= 1e-12
-
-
-def test_solve_basis_tolerance_validation(annulus16):
-    for tol in (-1.0, 0.0, math.nan):
-        with pytest.raises(GridError):
-            harmonic.solve_basis(annulus16, tol=tol)

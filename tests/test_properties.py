@@ -227,7 +227,7 @@ _OMEGA = _ANNULUS.field_from_function(lambda x, y: np.sin(3 * x) + x * y)
 def test_swap_walks_are_rearrangements(k, seed, radius):
     for smp in (
         rearrange.random_swaps(_OMEGA, k, seed),
-        rearrange.swaps_within_radius(_OMEGA, radius, seed, max_swaps=k),
+        rearrange.swaps_within_radius(_OMEGA, radius, seed),
     ):
         assert rearrange.histogram_distance(smp.w, _OMEGA) == 0.0
         for fn in (np.exp, np.square):

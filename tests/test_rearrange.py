@@ -60,7 +60,7 @@ def test_swaps_within_radius(stable_state32):
 # copy, and the distance as the L2 norm of the whole difference.
 
 
-def _walk_oracle(omega_bar, radius, seed, max_swaps=None):
+def _walk_oracle(omega_bar, radius, seed):
     dom = omega_bar.domain
     rng = np.random.default_rng(seed)
     vals = omega_bar.values.copy()
@@ -68,8 +68,7 @@ def _walk_oracle(omega_bar, radius, seed, max_swaps=None):
     ii = dom.interior_ids
     n = len(ii)
     h2 = dom.h * dom.h
-    if max_swaps is None:
-        max_swaps = 4 * n
+    max_swaps = 4 * n
     dist_p = 0.0
     swaps = 0
     rejected = 0
@@ -123,11 +122,16 @@ def test_swaps_within_radius_equals_per_proposal_walk(omega_bars, frac):
         radius = frac * grid.lp_norm(wbar)
         for seed in range(8):
             _same(ra.swaps_within_radius(wbar, radius, seed), _walk_oracle(wbar, radius, seed))
-        # a cap that stops the walk inside a block of proposals
-        cap = max(1, ra.swaps_within_radius(wbar, radius, 99).swap_count // 2)
-        smp = ra.swaps_within_radius(wbar, radius, 99, max_swaps=cap)
-        assert smp.swap_count == cap
-        _same(smp, _walk_oracle(wbar, radius, 99, max_swaps=cap))
+    # a walk that accepts every proposal stops at its cap of 4n swaps, here
+    # inside the first block of proposals
+    dom = _line_domain(12)
+    wbar = dom.zeros()
+    wbar.values[dom.interior_ids] = np.sin(np.arange(dom.n_interior) / frac)
+    assert 4 * dom.n_interior < ra._BLOCK
+    for seed in range(8):
+        smp = ra.swaps_within_radius(wbar, 1e300, seed)
+        assert smp.swap_count == 4 * dom.n_interior
+        _same(smp, _walk_oracle(wbar, 1e300, seed))
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 64, 500])
@@ -145,12 +149,10 @@ def test_block_draws_equal_per_call_draws():
     assert np.array_equal(block, [rng.integers(0, n, size=2) for _ in range(600)])
 
 
-@pytest.mark.parametrize(
-    "radius, max_swaps", [(-1.0, None), (math.nan, None), (math.inf, None), (0.1, -1)]
-)
-def test_swaps_within_radius_rejects_bad_input(stable_state32, radius, max_swaps):
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_swaps_within_radius_rejects_bad_input(stable_state32, radius):
     with pytest.raises(GridError):
-        ra.swaps_within_radius(stable_state32.omega_bar, radius, 0, max_swaps=max_swaps)
+        ra.swaps_within_radius(stable_state32.omega_bar, radius, 0)
 
 
 def _line_domain(n):
@@ -208,9 +210,9 @@ def test_hl_coupling_size_mismatch(stable_state32):
 def test_histogram_shift_counting_oracle(stable_state32):
     w = stable_state32.omega_bar
     dom = w.domain
-    bins = 16
+    bins = max(8, int(math.log2(dom.n_interior)) + 1)  # Sturges' rule
     shifted = grid.ScalarField(dom, w.values + 0.01)
-    d = ra.histogram_distance(w, shifted, bins)
+    d = ra.histogram_distance(w, shifted)
     lo = min(w.interior_values.min(), shifted.interior_values.min())
     hi = max(w.interior_values.max(), shifted.interior_values.max())
     edges = np.linspace(lo, hi, bins + 1)
@@ -223,7 +225,7 @@ def test_histogram_disjoint_supports(stable_state32):
     w = stable_state32.omega_bar
     dom = w.domain
     far = grid.ScalarField(dom, w.values + 100.0)
-    assert abs(ra.histogram_distance(w, far, 8) - 2 * dom.area) <= 1e-9
+    assert abs(ra.histogram_distance(w, far) - 2 * dom.area) <= 1e-9
 
 
 def test_local_max_probe_no_violations(basis32, stable_state32):
