@@ -44,10 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
     A token of a dash and a digit is a value, not an option, so negative
     numbers with an exponent (`--kappa -1e3`) or in a list (`--a -1,2`) are
-    read like `--kappa -2`; no option of this parser starts with a digit."""
+    read like `--kappa -2`; no option of this parser starts with a digit.
+
+    Flags are matched whole, like config-file keys: `--ri` is not `--rin`,
+    and adding an option cannot make a working abbreviation ambiguous.  The
+    subparsers are of this class too."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):

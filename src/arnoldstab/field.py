@@ -52,12 +52,18 @@ def _factor(mat, what):
     """Sparse LU of a symmetric positive definite matrix in SuperLU's
     symmetric mode: the minimum-degree ordering of A^T + A, which at res 64
     halves the fill of the default column ordering, and diagonal pivots,
-    which an SPD matrix needs no row exchanges for."""
+    which an SPD matrix needs no row exchanges for.  No supernodes are relaxed
+    and panels are one column wide (relax=1, panel_size=1; SuperLU's defaults
+    are 10 and 20): the fill is the same, but at res 64 the factorization
+    takes about 30% less time and its peak memory above the matrix falls
+    from 30 to 17 MB (2 vCPUs, scipy 1.17)."""
     try:
         return splu(
             mat.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
+            relax=1,
+            panel_size=1,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:

@@ -506,6 +506,25 @@ def test_subcommand_rejects_options_it_does_not_read(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--ri", "1.0", "--ro", "2.0", "--n", "256"],
+        ["simulate", "--turn", "3", "--snap", "2"],
+    ],
+    ids=["oracle", "simulate"],
+)
+def test_abbreviated_flag_exits_2(argv, tmp_path, monkeypatch, capsys):
+    """Flags are matched whole, like config-file keys: a prefix of a flag
+    (`--ri` for `--rin`, `--turn` for `--turnovers`) is refused before the
+    handler runs."""
+    monkeypatch.chdir(tmp_path)
+    seen = _capture(monkeypatch, argv[0])
+    assert _exit_code(*argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not seen
+
+
 def test_readme_lists_each_subcommands_options():
     """README's option table names exactly the options each subcommand takes."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -97,3 +97,39 @@ def test_steady_linear_profile_flux(radial):
     assert abs(u[-1]) < 1e-12  # outer value
     up0 = (u[1] - u[0]) / radial.dr
     assert abs(2 * math.pi * radial.r_in * up0 - 1.0) < 5e-3  # inner flux
+
+
+def _bisected_eigen(rp, kind):
+    """The eigenvalue by plain bisection of the bracket `radial_eigen` finds,
+    to the same width: the reference for its Brent root search."""
+    if kind == "lambda_Y":
+        mismatch = lambda mu: oracle.eigen_mismatch(rp, mu)
+    else:
+        mismatch = lambda mu: float(oracle._shoot(rp, mu, 0.0, 1.0)[-1])
+    lo, hi = 1e-8, 1.0
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    while f_lo * f_hi > 0:
+        hi *= 2.0
+        f_hi = mismatch(hi)
+    while hi - lo > oracle._BISECT_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = mismatch(mid)
+        if f_lo * f_mid <= 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["lambda_Y", "dirichlet"])
+def test_eigen_root_search_matches_bisection(kind, monkeypatch):
+    """Brent's method finds the root bisection finds, within the stopping
+    width, in at most 16 shoots (bisection takes 38 to 40)."""
+    rp = oracle.RadialProblem(1.0, 2.0, 1024)
+    ref = _bisected_eigen(rp, kind)
+    shoot = oracle._shoot
+    shoots = []
+    monkeypatch.setattr(oracle, "_shoot", lambda *a: shoots.append(a) or shoot(*a))
+    lam = oracle.radial_eigen(rp, kind)
+    assert abs(lam - ref) <= oracle._BISECT_TOL * max(1.0, ref)
+    assert len(shoots) <= 16
