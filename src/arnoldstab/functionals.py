@@ -2,12 +2,12 @@
 energy-Casimir, and the family of supporting functionals with their
 shift-parameter equation.
 
-Vorticity profiles are represented by :class:`GFunc` (linear, affine, or
-monotone tabulated with C1 interpolation).  Profiles are extended outside a
-working interval by C1 quadratic collars of unit width followed by linear
-tails, which guarantees the growth needed by the Legendre transform; the
-transform itself is evaluated through the generalized inverse, for which the
-defining supremum is attained exactly.
+Vorticity profiles are represented by :class:`GFunc` (affine, or one
+piecewise polynomial).  Profiles are extended outside a working interval by
+C1 quadratic collars of unit width followed by linear tails, which guarantees
+the growth needed by the Legendre transform; the transform itself is
+evaluated through the generalized inverse, for which the defining supremum is
+attained exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import grid as g
 from .errors import ConvergenceError, GridError
@@ -26,147 +26,69 @@ from .field import h_field, p_apply
 
 
 class GFunc:
-    """Increasing vorticity profile g with derivative and antiderivative.
+    """Increasing vorticity profile g with derivative g' and antiderivative G.
 
-    kinds: 'linear' (slope s), 'affine' (slope, offset), 'tabulated'
-    (monotone values with C1 monotone interpolation), 'extended' (another
-    profile equipped with quadratic collars and linear tails).
+    An affine profile (kinds 'linear' and 'affine') holds its `slope` and
+    `offset`.  Any other holds one piecewise polynomial `poly` (a scipy
+    PPoly, extrapolated by its end pieces): kind 'tabulated' is the C1
+    monotone interpolant of a table, kind 'extended' another profile with
+    quadratic collars and linear tails (see `extend_g`).  g' and G are that
+    polynomial's own derivative and antiderivative, G anchored at 0.
     """
 
-    def __init__(self, kind, **params):
-        self.kind = kind
-        self.params = params
-        if kind == "linear":
-            self.slope = float(params["slope"])
-        elif kind == "affine":
-            self.slope = float(params["slope"])
-            self.offset = float(params["offset"])
-        elif kind == "tabulated":
-            knots = np.asarray(params["knots"], dtype=float)
-            vals = np.asarray(params["values"], dtype=float)
-            if knots.ndim != 1 or knots.shape != vals.shape or len(knots) < 2:
-                raise GridError("tabulated profile needs matching 1D knots/values")
-            if np.any(np.diff(knots) <= 0):
-                raise GridError("tabulated knots must be strictly increasing")
-            if np.any(np.diff(vals) < 0):
-                raise GridError("non-monotone tabulated input")
-            self._pchip = PchipInterpolator(knots, vals, extrapolate=True)
-            self._dpchip = self._pchip.derivative()
-            self._apchip = self._pchip.antiderivative()
-            self.knots = knots
-        elif kind == "extended":
-            pass  # built by extend_g
-        else:
+    def __init__(self, kind, slope=0.0, offset=0.0, poly=None):
+        if kind not in ("linear", "affine", "tabulated", "extended"):
             raise GridError("unknown profile kind %r" % kind)
+        self.kind = kind
+        self.slope = float(slope)
+        self.offset = float(offset)
+        self.poly = poly
+        if poly is not None:
+            self._dpoly = poly.derivative()
+            self._apoly = poly.antiderivative()
+            self._apoly0 = self._apoly(0.0)
 
     # -- evaluation -------------------------------------------------------------
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
+        if self.poly is not None:
+            return self.poly(s)
         if self.kind == "linear":
             return self.slope * s
-        if self.kind == "affine":
-            return self.slope * s + self.offset
-        if self.kind == "tabulated":
-            return self._pchip(s)
-        p = self.params
-        lo, hi = p["lo"], p["hi"]
-        core = p["core"]
-        gl, gh = p["g_lo"], p["g_hi"]
-        dl, dh = p["gp_lo"], p["gp_hi"]
-        kl, kh = p["kap_lo"], p["kap_hi"]
-        v0, v3 = p["v_lo"], p["v_hi"]
-        cl, ch = p["c_lo"], p["c_hi"]
-        d_lo = s - lo
-        d_hi = s - hi
-        return np.select(
-            [s < lo - 1.0, s < lo, s <= hi, s <= hi + 1.0],
-            [
-                v0 + cl * (s - (lo - 1.0)),
-                gl + dl * d_lo + 0.5 * kl * d_lo**2,
-                core(np.clip(s, lo, hi)),
-                gh + dh * d_hi + 0.5 * kh * d_hi**2,
-            ],
-            default=v3 + ch * (s - (hi + 1.0)),
-        )
+        return self.slope * s + self.offset
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "linear" or self.kind == "affine":
-            return np.full_like(s, self.slope)
-        if self.kind == "tabulated":
-            return self._dpchip(s)
-        p = self.params
-        lo, hi = p["lo"], p["hi"]
-        return np.select(
-            [s < lo - 1.0, s < lo, s <= hi, s <= hi + 1.0],
-            [
-                np.full_like(s, p["c_lo"]),
-                p["gp_lo"] + p["kap_lo"] * (s - lo),
-                p["core"].deriv(np.clip(s, lo, hi)),
-                p["gp_hi"] + p["kap_hi"] * (s - hi),
-            ],
-            default=np.full_like(s, p["c_hi"]),
-        )
+        if self.poly is not None:
+            return self._dpoly(s)
+        return np.full_like(s, self.slope)
 
     def antideriv(self, s):
         """G(s) = integral of g from 0 to s."""
         s = np.asarray(s, dtype=float)
+        if self.poly is not None:
+            return self._apoly(s) - self._apoly0
         if self.kind == "linear":
             return 0.5 * self.slope * s * s
-        if self.kind == "affine":
-            return 0.5 * self.slope * s * s + self.offset * s
-        if self.kind == "tabulated":
-            return self._apchip(s) - self._apchip(0.0)
-        phi = self._phi(s) - self._phi(np.asarray(0.0))
-        return phi
-
-    def _phi(self, s):
-        """Antiderivative of the extended profile anchored at lo."""
-        p = self.params
-        lo, hi = p["lo"], p["hi"]
-        core = p["core"]
-        A_core = lambda t: core.antideriv(np.clip(t, lo, hi)) - core.antideriv(lo)
-        gl, gh = p["g_lo"], p["g_hi"]
-        dl, dh = p["gp_lo"], p["gp_hi"]
-        kl, kh = p["kap_lo"], p["kap_hi"]
-        v0, v3 = p["v_lo"], p["v_hi"]
-        cl, ch = p["c_lo"], p["c_hi"]
-        phi_t2 = A_core(np.asarray(hi))
-        phi_t0 = -gl + 0.5 * dl - kl / 6.0  # collar integral from lo-1 to lo, negated
-        phi_t3 = phi_t2 + gh + 0.5 * dh + kh / 6.0
-
-        d_lo = s - lo
-        d_hi = s - hi
-        t0 = s - (lo - 1.0)
-        t3 = s - (hi + 1.0)
-        return np.select(
-            [s < lo - 1.0, s < lo, s <= hi, s <= hi + 1.0],
-            [
-                phi_t0 + v0 * t0 + 0.5 * cl * t0**2,
-                gl * d_lo + 0.5 * dl * d_lo**2 + kl * d_lo**3 / 6.0,
-                A_core(s),
-                phi_t2 + gh * d_hi + 0.5 * dh * d_hi**2 + kh * d_hi**3 / 6.0,
-            ],
-            default=phi_t3 + v3 * t3 + 0.5 * ch * t3**2,
-        )
+        return 0.5 * self.slope * s * s + self.offset * s
 
     # -- structure queries --------------------------------------------------------
 
     @property
     def has_linear_tails(self) -> bool:
-        if self.kind in ("linear", "affine"):
+        if self.poly is None:
             return self.slope > 0.0
         return self.kind == "extended"
 
     def median_slope(self) -> float:
-        if self.kind in ("linear", "affine"):
+        if self.poly is None:
             return self.slope
-        if self.kind == "tabulated":
-            return float(np.median(self.deriv(self.knots)))
-        p = self.params
-        s = np.linspace(p["lo"], p["hi"], 257)
-        return float(np.median(self.deriv(s)))
+        x = self.poly.x
+        if self.kind == "extended":
+            # the extension interval [lo, hi], inside the tail and collar pieces
+            x = np.linspace(x[2], x[-3], 257)
+        return float(np.median(self.deriv(x)))
 
     # -- constructors ---------------------------------------------------------------
 
@@ -180,7 +102,17 @@ class GFunc:
 
     @staticmethod
     def tabulated(knots, values) -> "GFunc":
-        return GFunc("tabulated", knots=knots, values=values)
+        knots = np.asarray(knots, dtype=float)
+        vals = np.asarray(values, dtype=float)
+        if knots.ndim != 1 or knots.shape != vals.shape or len(knots) < 2:
+            raise GridError("tabulated profile needs matching 1D knots/values")
+        if not (np.isfinite(knots).all() and np.isfinite(vals).all()):
+            raise GridError("tabulated knots and values must be finite")
+        if np.any(np.diff(knots) <= 0):
+            raise GridError("tabulated knots must be strictly increasing")
+        if np.any(np.diff(vals) < 0):
+            raise GridError("non-monotone tabulated input")
+        return GFunc("tabulated", poly=PchipInterpolator(knots, vals, extrapolate=True))
 
 
 def extend_g(gf: GFunc, lo: float, hi: float) -> GFunc:
@@ -191,6 +123,10 @@ def extend_g(gf: GFunc, lo: float, hi: float) -> GFunc:
     and max(g'(lo), 1) downward; it is strictly increasing outside [lo, hi]
     and grows linearly at both ends.  Profiles that already satisfy this
     (positive-slope linear/affine) are returned unchanged.
+
+    The result is one piecewise polynomial: a linear tail on [lo - 2, lo - 1]
+    (extrapolated to -inf), the collars on [lo - 1, lo] and [hi, hi + 1] with
+    gf's pieces between them, and a linear tail on [hi + 1, hi + 2] (to +inf).
     """
     lo = float(lo)
     hi = float(hi)
@@ -205,7 +141,7 @@ def extend_g(gf: GFunc, lo: float, hi: float) -> GFunc:
     if np.any(np.diff(gf(sample)) < -1e-12 * max(1.0, float(np.abs(gf(sample)).max()))):
         raise GridError("profile is not increasing on the extension interval")
     if gf.kind == "tabulated":
-        if lo < gf.knots[0] - 1e-12 or hi > gf.knots[-1] + 1e-12:
+        if lo < gf.poly.x[0] - 1e-12 or hi > gf.poly.x[-1] + 1e-12:
             raise GridError("extension interval exceeds the tabulated range")
 
     gp_lo = float(gf.deriv(lo))
@@ -218,22 +154,20 @@ def extend_g(gf: GFunc, lo: float, hi: float) -> GFunc:
     g_hi = float(gf(hi))
     v_lo = g_lo - gp_lo + 0.5 * kap_lo  # collar value at lo - 1
     v_hi = g_hi + gp_hi + 0.5 * kap_hi  # collar value at hi + 1
-    return GFunc(
-        "extended",
-        core=gf,
-        lo=lo,
-        hi=hi,
-        g_lo=g_lo,
-        g_hi=g_hi,
-        gp_lo=gp_lo,
-        gp_hi=gp_hi,
-        kap_lo=kap_lo,
-        kap_hi=kap_hi,
-        c_lo=c_lo,
-        c_hi=c_hi,
-        v_lo=v_lo,
-        v_hi=v_hi,
-    )
+
+    if gf.poly is None:  # an affine core is one piece
+        core_x, core = [lo, hi], [[gp_lo, g_lo]]
+    else:  # gf's own pieces, by their Taylor coefficients at their left ends
+        p = gf.poly
+        core_x = np.r_[lo, p.x[(p.x > lo) & (p.x < hi)], hi]
+        core = np.transpose([p(core_x[:-1], k) / math.factorial(k) for k in range(len(p.c))[::-1]])
+    pieces = [[c_lo, v_lo - c_lo], [0.5 * kap_lo, c_lo, v_lo], *core]
+    pieces += [[0.5 * kap_hi, gp_hi, g_hi], [c_hi, v_hi]]
+    coef = np.zeros((max(map(len, pieces)), len(pieces)))
+    for j, c in enumerate(pieces):
+        coef[len(coef) - len(c) :, j] = c
+    x = np.r_[lo - 2.0, lo - 1.0, core_x, hi + 1.0, hi + 2.0]
+    return GFunc("extended", poly=PPoly(coef, x))
 
 
 @dataclass
@@ -255,9 +189,7 @@ def _generalized_inverse(gf: GFunc):
     """f(s) = smallest tau with g(tau) = s, by vectorized monotone bisection."""
 
     if gf.kind in ("linear", "affine") and gf.slope > 0.0:
-        off = getattr(gf, "offset", 0.0)
-        k = gf.slope
-        return lambda s: (np.asarray(s, dtype=float) - off) / k
+        return lambda s: (np.asarray(s, dtype=float) - gf.offset) / gf.slope
 
     def f(s):
         s = np.asarray(s, dtype=float)

@@ -61,10 +61,15 @@ def render_line_plot(csv_path, svg_path, x=None, ys=None, width=720, height=440)
             raise ConfigError("no column %r in %s" % (yn, csv_path))
 
     xs = cols[xname]
-    all_y = [v for yn in ynames for v in cols[yn] if math.isfinite(v)]
-    if not all_y or not xs:
+    pts = {
+        yn: [(xv, yv) for xv, yv in zip(xs, cols[yn]) if math.isfinite(xv) and math.isfinite(yv)]
+        for yn in ynames
+    }
+    all_y = [yv for yn in ynames for _, yv in pts[yn]]
+    if not all_y:
         raise ConfigError("nothing to plot in %s" % csv_path)
-    xlo, xhi = min(xs), max(xs)
+    finite_x = [v for v in xs if math.isfinite(v)]
+    xlo, xhi = min(finite_x), max(finite_x)
     ylo, yhi = min(all_y), max(all_y)
     if yhi <= ylo:
         yhi = ylo + max(1e-12, abs(ylo) * 1e-6)
@@ -109,15 +114,10 @@ def render_line_plot(csv_path, svg_path, x=None, ys=None, width=720, height=440)
             '<text x="%d" y="%.1f" text-anchor="end">%.4g</text>' % (ml - 5, sy(t) + 4, t)
         )
     for k, yn in enumerate(ynames):
-        pts = [
-            "%.2f,%.2f" % (sx(xv), sy(yv))
-            for xv, yv in zip(xs, cols[yn])
-            if math.isfinite(yv)
-        ]
+        line = " ".join("%.2f,%.2f" % (sx(xv), sy(yv)) for xv, yv in pts[yn])
         color = _COLORS[k % len(_COLORS)]
         parts.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>'
-            % (" ".join(pts), color)
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>' % (line, color)
         )
         parts.append(
             '<text x="%d" y="%d" fill="%s">%s</text>'

@@ -273,15 +273,17 @@ def _exit_code(*argv):
         ["steady", *BASE, "--g", "affine:1.0"],
         ["steady", *BASE, "--g", "linear:abc"],
         ["steady", *BASE, "--g", "table:missing.csv"],
+        ["steady", *BASE, "--g", "table:nan.csv"],
         ["steady", *BASE, "--kappa", "1.0", "--a", "1,x"],
         ["simulate", *BASE, "--kappa", "1.0", "--turnovers", "0.05", "--perturb", "bump:abc"],
         ["verify-all", "--criteria", "1,x"],
         ["stream", *BASE, "--omega-const", "abc"],
     ],
-    ids=["affine", "linear", "table", "a", "perturb", "criteria", "omega-const"],
+    ids=["affine", "linear", "table", "table-nan", "a", "perturb", "criteria", "omega-const"],
 )
 def test_malformed_value_is_config_error(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # table:missing.csv is looked up here
+    monkeypatch.chdir(tmp_path)  # table:missing.csv and table:nan.csv are looked up here
+    (tmp_path / "nan.csv").write_text("0.0,0.0\n1.0,nan\n2.0,1.0\n")
     assert _exit_code(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
@@ -289,13 +291,26 @@ def test_malformed_value_is_config_error(argv, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("content", [None, ""], ids=["missing", "empty"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "", "functional,value,mu\nE,1.5,nan\nEC,0.5,nan\n"],
+    ids=["missing", "empty", "x-not-numeric"],
+)
 def test_report_unreadable_csv_exits_2(content, tmp_path, capsys):
     path = tmp_path / "series.csv"
     if content is not None:
         path.write_text(content)
     assert run_cli("report", "--csv", str(path)) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_report_skips_rows_without_finite_x(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("t,energy\n0.0,1.0\nnan,2.0\n1.0,3.0\n")
+    assert run_cli("report", "--csv", str(path)) == 0
+    svg = (tmp_path / "plot.svg").read_text()
+    assert "nan" not in svg
+    assert len(svg.split('points="')[1].split('"')[0].split()) == 2
 
 
 def _capture(monkeypatch, command):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from arnoldstab import field, functionals as fn, grid
 from arnoldstab.errors import GridError
@@ -64,6 +65,128 @@ def test_antiderivative_anchored_at_zero():
     eps = 1e-6
     num = (ext.antideriv(s + eps) - ext.antideriv(s - eps)) / (2 * eps)
     assert np.abs(num - ext(s)).max() <= 1e-5
+
+
+def _closed_forms(core, lo, hi):
+    """g, g' and G of `extend_g(core, lo, hi)` from the closed forms of its
+    collars and tails, branch by branch: the reference for its piecewise
+    polynomial."""
+    gl, gh = float(core(lo)), float(core(hi))
+    dl, dh = float(core.deriv(lo)), float(core.deriv(hi))
+    cl, ch = max(dl, 1.0), max(dh, 1.0)
+    kl, kh = dl - cl, ch - dh
+    v0, v3 = gl - dl + 0.5 * kl, gh + dh + 0.5 * kh
+    cuts = lambda s: [s < lo - 1.0, s < lo, s <= hi, s <= hi + 1.0]
+
+    def g(s):
+        d_lo, d_hi = s - lo, s - hi
+        return np.select(
+            cuts(s),
+            [
+                v0 + cl * (s - (lo - 1.0)),
+                gl + dl * d_lo + 0.5 * kl * d_lo**2,
+                core(np.clip(s, lo, hi)),
+                gh + dh * d_hi + 0.5 * kh * d_hi**2,
+            ],
+            default=v3 + ch * (s - (hi + 1.0)),
+        )
+
+    def gp(s):
+        return np.select(
+            cuts(s),
+            [
+                np.full_like(s, cl),
+                dl + kl * (s - lo),
+                core.deriv(np.clip(s, lo, hi)),
+                dh + kh * (s - hi),
+            ],
+            default=np.full_like(s, ch),
+        )
+
+    def phi(s):  # antiderivative anchored at lo
+        a_core = lambda t: core.antideriv(np.clip(t, lo, hi)) - core.antideriv(lo)
+        phi_t2 = a_core(np.asarray(hi))
+        phi_t0 = -gl + 0.5 * dl - kl / 6.0
+        phi_t3 = phi_t2 + gh + 0.5 * dh + kh / 6.0
+        d_lo, d_hi = s - lo, s - hi
+        t0, t3 = s - (lo - 1.0), s - (hi + 1.0)
+        return np.select(
+            cuts(s),
+            [
+                phi_t0 + v0 * t0 + 0.5 * cl * t0**2,
+                gl * d_lo + 0.5 * dl * d_lo**2 + kl * d_lo**3 / 6.0,
+                a_core(s),
+                phi_t2 + gh * d_hi + 0.5 * dh * d_hi**2 + kh * d_hi**3 / 6.0,
+            ],
+            default=phi_t3 + v3 * t3 + 0.5 * ch * t3**2,
+        )
+
+    return g, gp, lambda s: phi(s) - phi(np.asarray(0.0))
+
+
+_TANH_KNOTS = np.linspace(-3.0, 3.0, 25)
+_CUBIC_KNOTS = np.linspace(-2.0, 3.0, 21)
+_TANH = fn.GFunc.tabulated(_TANH_KNOTS, 0.8 * _TANH_KNOTS + 0.2 * np.tanh(2 * _TANH_KNOTS))
+_CUBIC = fn.GFunc.tabulated(_CUBIC_KNOTS, 0.2 * _CUBIC_KNOTS**3 + _CUBIC_KNOTS)
+# (core, lo, hi): the cubic table's interval ends fall between its knots
+_EXTENSIONS = {
+    "tanh": (_TANH, -3.0, 3.0),
+    "cubic": (_CUBIC, -1.3, 2.7),
+    "flat": (fn.GFunc.tabulated([0.0, 0.5, 1.0], [0.0, 0.0, 0.0]), 0.0, 1.0),
+    "linear0": (fn.GFunc.linear(0.0), -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXTENSIONS))
+def test_extension_matches_closed_forms(name):
+    core, lo, hi = _EXTENSIONS[name]
+    ext = fn.extend_g(core, lo, hi)
+    assert isinstance(ext.poly, PPoly)
+    s = np.union1d(np.linspace(lo - 4.0, hi + 4.0, 4001), ext.poly.x)
+    for got, ref in zip((ext, ext.deriv, ext.antideriv), _closed_forms(core, lo, hi)):
+        want = ref(s)
+        assert np.all(np.abs(got(s) - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", list(_EXTENSIONS))
+def test_extension_pieces_join_c1(name):
+    """At every interior breakpoint the left and right pieces' polynomials
+    agree in value and slope."""
+    poly = fn.extend_g(*_EXTENSIONS[name]).poly
+    c, x = poly.c, poly.x
+    deg = len(c) - 1
+    for j in range(1, len(x) - 1):
+        t = x[j] - x[j - 1]
+        left = np.polyval(c[:, j - 1], t)
+        left_slope = np.polyval(c[:-1, j - 1] * np.arange(deg, 0, -1), t)
+        assert abs(left - c[-1, j]) <= 1e-13 * max(1.0, abs(c[-1, j]))
+        assert abs(left_slope - c[-2, j]) <= 1e-13 * max(1.0, abs(c[-2, j]))
+
+
+def test_tabulated_profile_is_its_pchip_interpolant():
+    vals = np.tanh(_TANH_KNOTS)
+    gf = fn.GFunc.tabulated(_TANH_KNOTS, vals)
+    pchip = PchipInterpolator(_TANH_KNOTS, vals, extrapolate=True)
+    anti = pchip.antiderivative()
+    s = np.union1d(np.linspace(-5.0, 5.0, 2001), _TANH_KNOTS)
+    assert np.array_equal(gf(s), pchip(s))
+    assert np.array_equal(gf.deriv(s), pchip.derivative()(s))
+    assert np.array_equal(gf.antideriv(s), anti(s) - anti(0.0))
+
+
+@pytest.mark.parametrize(
+    "knots, values",
+    [
+        ([0.0, math.nan, 2.0], [0.0, 0.5, 1.0]),
+        ([0.0, 1.0, math.inf], [0.0, 0.5, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [-math.inf, 0.5, 1.0]),
+    ],
+    ids=["knot-nan", "knot-inf", "value-nan", "value-inf"],
+)
+def test_tabulated_rejects_non_finite(knots, values):
+    with pytest.raises(GridError, match="finite"):
+        fn.GFunc.tabulated(knots, values)
 
 
 # -- Legendre transform -----------------------------------------------------------

@@ -347,7 +347,7 @@ def test_eigensolvers_match_dense_reference(make_domain, a):
     knots = np.linspace(st.psi_min - 0.1, st.psi_max + 0.1, 7)
     span = knots[-1] - knots[0]
     values = lam * (knots + (knots - knots[0]) ** 2 / span)
-    st = replace(st, g=GFunc("tabulated", knots=knots, values=values))
+    st = replace(st, g=GFunc.tabulated(knots, values))
     gp = st.g.deriv(st.psi_bar.values)[ii]
     assert gp.min() > 0 and np.ptp(gp) > 0.1
     gamma = gp.sum() * h2
