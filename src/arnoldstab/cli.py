@@ -348,7 +348,21 @@ def _extended(gf, omega, basis, a):
     sol = field.stream_solve(basis, omega, a)
     lo = float(sol.psi.values.min()) - 1.0
     hi = float(sol.psi.values.max()) + 1.0
+    _check_table_range(gf, lo, hi, "extension interval")
     return functionals.extend_g(gf, lo, hi)
+
+
+def _check_table_range(gf, lo, hi, what):
+    """ConfigError where a tabulated profile would be read on [lo, hi]
+    outside its knots (up to the 1e-12 slack of `functionals.extend_g`): the
+    input decides that range, so it is not a solver failure."""
+    if gf.kind != "tabulated":
+        return
+    x0, x1 = float(gf.poly.x[0]), float(gf.poly.x[-1])
+    if lo < x0 - 1e-12 or hi > x1 + 1e-12:
+        raise ConfigError(
+            "%s [%g, %g] leaves the tabulated range [%g, %g] of --g" % (what, lo, hi, x0, x1)
+        )
 
 
 def _cmd_spectra(args):
@@ -386,12 +400,15 @@ def _cmd_steady(args):
 def _make_steady(args, basis, gf=None):
     """Steady state of the profile gf (default: --g or --kappa) with the
     circulations --a: linear profiles by `steady_linear`, the others by
-    `steady_newton`."""
+    `steady_newton`.  A tabulated profile's table must cover the state's
+    psi range."""
     gf = _parse_g(args) if gf is None else gf
     a = _circulations(args, basis.domain)
     if gf.kind == "linear":
         return steady.steady_linear(basis, gf.slope, a)
-    return steady.steady_newton(basis, gf, a)
+    st = steady.steady_newton(basis, gf, a)
+    _check_table_range(gf, st.psi_min, st.psi_max, "steady psi range")
+    return st
 
 
 def _cmd_probe(args):

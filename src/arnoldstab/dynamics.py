@@ -160,30 +160,44 @@ def _filled_grid(dom, values):
     return values[_step_grids(dom).fill_src]
 
 
+# The Catmull-Rom weights and their slopes share their terms, each rewrite
+# exact in IEEE arithmetic: -0.5*t + t2 is t2 - 0.5*t, 2.0*t2 is t2 + t2 and
+# -5.0*t + b is b - 5.0*t, so every value is that of the textbook forms
+# (-0.5t + t^2 - 0.5t^3, ...) evaluated left to right.
 def _catmull_weights(t):
     t2 = t * t
     t3 = t2 * t
+    h = 0.5 * t
+    h3 = 0.5 * t3
+    c3 = 1.5 * t3
     return (
-        -0.5 * t + t2 - 0.5 * t3,
-        1.0 - 2.5 * t2 + 1.5 * t3,
-        0.5 * t + 2.0 * t2 - 1.5 * t3,
-        -0.5 * t2 + 0.5 * t3,
+        t2 - h - h3,
+        1.0 - 2.5 * t2 + c3,
+        h + (t2 + t2) - c3,
+        h3 - 0.5 * t2,
     )
 
 
 def _catmull_slopes(t):
     """Derivatives of the Catmull-Rom weights with respect to t."""
     t2 = t * t
+    a = 1.5 * t2
+    b = 4.5 * t2
     return (
-        -0.5 + 2.0 * t - 1.5 * t2,
-        -5.0 * t + 4.5 * t2,
-        0.5 + 4.0 * t - 4.5 * t2,
-        -t + 1.5 * t2,
+        -0.5 + (t + t) - a,
+        b - 5.0 * t,
+        0.5 + 4.0 * t - b,
+        a - t,
     )
 
 
 def _dot4(w, f):
-    return w[0] * f[0] + w[1] * f[1] + w[2] * f[2] + w[3] * f[3]
+    """w[0]*f[0] + w[1]*f[1] + w[2]*f[2] + w[3]*f[3], summed left to right in
+    one output array."""
+    out = w[0] * f[0]
+    for k in (1, 2, 3):
+        out += w[k] * f[k]
+    return out
 
 
 def _cell(shape, gx, gy):
@@ -198,32 +212,48 @@ def _cell(shape, gx, gy):
     return (j0 - 1) * nx + (i0 - 1), fx, fy
 
 
-def _stencil_rows(Fgrid, gx, gy):
-    """The 4x4 stencil values of each point, as four rows of four columns,
-    with the offsets within the cell."""
+@dataclass(frozen=True)
+class _Stencil:
+    """The 4x4 Catmull-Rom stencil of a point set on the padded grids: each
+    point's top-left stencil node (flat index) and its weights along x and y,
+    with the weights' slopes when a gradient is wanted.  Every field sampled
+    at the same points reads one stencil."""
+
+    base: np.ndarray
+    wx: tuple
+    wy: tuple
+    sx: tuple | None = None
+    sy: tuple | None = None
+
+
+def _stencil(shape, gx, gy, slopes=False):
+    """The `_Stencil` of the points (gx, gy) on padded grids of this shape."""
+    base, fx, fy = _cell(shape, gx, gy)
+    sx, sy = (_catmull_slopes(fx), _catmull_slopes(fy)) if slopes else (None, None)
+    return _Stencil(base, _catmull_weights(fx), _catmull_weights(fy), sx, sy)
+
+
+def _gather(Fgrid, st):
+    """The stencil's node values of Fgrid, one row of four at a time."""
     nx = Fgrid.shape[1]
-    base, fx, fy = _cell(Fgrid.shape, gx, gy)
     flat = Fgrid.ravel()
-    rows = [[flat[base + (b * nx + a)] for a in range(4)] for b in range(4)]
-    return rows, fx, fy
+    for b in range(4):
+        yield [np.take(flat[b * nx + a :], st.base) for a in range(4)]
 
 
-def _bicubic(Fgrid, gx, gy):
-    """Plain Catmull-Rom interpolation on the filled grid."""
-    rows, fx, fy = _stencil_rows(Fgrid, gx, gy)
-    wx = _catmull_weights(fx)
-    return _dot4(_catmull_weights(fy), [_dot4(wx, r) for r in rows])
+def _bicubic(Fgrid, st):
+    """Plain Catmull-Rom interpolation of the filled grid on a stencil."""
+    return _dot4(st.wy, [_dot4(st.wx, r) for r in _gather(Fgrid, st)])
 
 
-def _bicubic_grad(Fgrid, gx, gy):
-    """Value of the `_bicubic` interpolant and its gradient in grid units."""
-    rows, fx, fy = _stencil_rows(Fgrid, gx, gy)
-    wx = _catmull_weights(fx)
-    sx = _catmull_slopes(fx)
-    wy = _catmull_weights(fy)
-    along = [_dot4(wx, r) for r in rows]
-    slope = [_dot4(sx, r) for r in rows]
-    return _dot4(wy, along), _dot4(wy, slope), _dot4(_catmull_slopes(fy), along)
+def _bicubic_grad(Fgrid, st):
+    """Value of the `_bicubic` interpolant and its gradient in grid units, on
+    a stencil with slopes."""
+    along, slope = [], []
+    for r in _gather(Fgrid, st):
+        along.append(_dot4(st.wx, r))
+        slope.append(_dot4(st.sx, r))
+    return _dot4(st.wy, along), _dot4(st.wy, slope), _dot4(st.sy, along)
 
 
 def _window_reduce(F, op):
@@ -235,11 +265,11 @@ def _window_reduce(F, op):
     return out.ravel()
 
 
-def _data_range(dom, values, gx, gy):
-    """Range of the node values within the 4x4 stencil of each point on the
-    padded grid (inf, -inf where the stencil holds no node)."""
+def _data_range(dom, values, base):
+    """Range of the node values within the 4x4 stencils whose top-left nodes
+    are `base` (flat indices on the padded grid; inf, -inf where the stencil
+    holds no node)."""
     ids = _step_grids(dom).node_ids
-    base, _, _ = _cell(ids.shape, gx, gy)
     # node id -1 picks the appended sentinel
     lo = _window_reduce(np.append(values, np.inf)[ids], np.minimum)
     hi = _window_reduce(np.append(values, -np.inf)[ids], np.maximum)
@@ -253,31 +283,33 @@ def init_state(basis, omega0: g.ScalarField, b) -> SimState:
     return SimState(basis, 0.0, omega0, bv, sol.psi, velocity(sol.psi), 0)
 
 
-def _feet(dom, VX, VY, dt):
-    """Departure points, in the grid coordinates of the padded grids VX, VY
-    from `_filled_grid`, for every non-exterior node under a signed time
-    step: midpoint backtrace, with displacements contracted toward the node
-    until each point lands in a cell touching the interior."""
+def _feet(dom, vel, dt):
+    """Departure points, in the grid coordinates of the padded grids from
+    `_filled_grid`, for every non-exterior node under a signed time step:
+    midpoint backtrace, with displacements contracted toward the node until
+    each point lands in a cell touching the interior.  The filled grids hold
+    each node's own velocity at the node, so the first half step reads `vel`
+    directly."""
     h = dom.h
     x0 = dom.origin[0] - _PAD * h
     y0 = dom.origin[1] - _PAD * h
     x = dom.node_x
     y = dom.node_y
-    vx0 = VX[dom.node_iy + _PAD, dom.node_ix + _PAD]
-    vy0 = VY[dom.node_iy + _PAD, dom.node_ix + _PAD]
-    mx = (x - 0.5 * dt * vx0 - x0) / h
-    my = (y - 0.5 * dt * vy0 - y0) / h
+    mx = (x - 0.5 * dt * vel.vx - x0) / h
+    my = (y - 0.5 * dt * vel.vy - y0) / h
     # bilinear midpoint velocity; one cell and one set of weights for both
+    VX = _filled_grid(dom, vel.vx)
+    VY = _filled_grid(dom, vel.vy)
     ny, nx = VX.shape
     i0 = np.clip(np.floor(mx).astype(np.int64), 0, nx - 2)
     j0 = np.clip(np.floor(my).astype(np.int64), 0, ny - 2)
     fx = np.clip(mx - i0, 0.0, 1.0)
     fy = np.clip(my - j0, 0.0, 1.0)
-    corners = j0 * nx + i0
-    corners = (corners, corners + 1, corners + nx, corners + nx + 1)
+    corner = j0 * nx + i0
     weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-    dx = dt * _dot4(weights, [VX.ravel()[c] for c in corners])
-    dy = dt * _dot4(weights, [VY.ravel()[c] for c in corners])
+    offsets = (0, 1, nx, nx + 1)
+    dx = dt * _dot4(weights, [np.take(VX.ravel()[k:], corner) for k in offsets])
+    dy = dt * _dot4(weights, [np.take(VY.ravel()[k:], corner) for k in offsets])
 
     _contract(dom, dx, dy)
     return (x - dx - x0) / h, (y - dy - y0) / h
@@ -316,31 +348,52 @@ def _contract(dom, dx, dy):
 _PROJECT_MAX_ITER = 20
 
 
-def _project_feet(Pgrid, target, gx, gy, tol):
+def _project_feet(Pgrid, target, gx, gy, tol, Wgrid):
     """Move the feet (grid coordinates, in place) onto the level sets
     psi_I = target of their nodes, psi_I being the `_bicubic` interpolant of
-    the filled stream grid.  Newton steps along grad psi_I, each capped at a
-    quarter cell, are repeated on every foot whose residual still exceeds
-    `tol`, for at most _PROJECT_MAX_ITER rounds.  The second round is a chord
-    step: it evaluates psi_I alone and reuses the first round's gradient,
-    which the short first steps leave nearly unchanged; later rounds take a
-    fresh gradient."""
+    the filled stream grid, and return the `_bicubic` values of the filled
+    vorticity grid Wgrid at the moved feet with their stencil bases.
+
+    Newton steps along grad psi_I, each capped at a quarter cell, are
+    repeated on every foot whose residual still exceeds `tol`, for at most
+    _PROJECT_MAX_ITER rounds.  The second round is a chord step: it
+    evaluates psi_I alone and reuses the first round's gradient, which the
+    short first steps leave nearly unchanged; later rounds take a fresh
+    gradient.  The second round's stencil covers every foot, since those
+    that converged in the first round are already final, and omega is
+    sampled on it too; only the feet that the second round still moves are
+    sampled again, on one stencil at their final positions."""
+    shape = Pgrid.shape
     todo = np.arange(gx.size)
+    raw = base = moved = None
     for it in range(_PROJECT_MAX_ITER):
         if it == 1:
-            val = _bicubic(Pgrid, gx[todo], gy[todo])
+            st = _stencil(shape, gx, gy)
+            raw, base = _bicubic(Wgrid, st), st.base
+            val = _bicubic(Pgrid, st)[todo]
         else:
-            val, px, py = _bicubic_grad(Pgrid, gx[todo], gy[todo])
+            sel = slice(None) if it == 0 else todo
+            val, px, py = _bicubic_grad(Pgrid, _stencil(shape, gx[sel], gy[sel], slopes=True))
         r = val - target[todo]
         bad = np.abs(r) > tol
         todo, r, px, py = todo[bad], r[bad], px[bad], py[bad]
+        if it == 1:
+            moved = todo
         if todo.size == 0:
-            return
+            break
         g2 = px * px + py * py
         cap = 0.25 * np.sqrt(g2)
         s = np.divide(np.clip(r, -cap, cap), g2, out=np.zeros_like(r), where=g2 > 0)
         gx[todo] -= s * px
         gy[todo] -= s * py
+    if raw is None:  # every foot converged in the first round
+        st = _stencil(shape, gx, gy)
+        return _bicubic(Wgrid, st), st.base
+    if moved.size:
+        st = _stencil(shape, gx[moved], gy[moved])
+        raw[moved] = _bicubic(Wgrid, st)
+        base[moved] = st.base
+    return raw, base
 
 
 def _advect_semi_lagrangian(state: SimState, dt: float) -> np.ndarray:
@@ -360,15 +413,14 @@ def _advect_semi_lagrangian(state: SimState, dt: float) -> np.ndarray:
     those anchors stay fresh.
     """
     dom = state.basis.domain
-    VX = _filled_grid(dom, state.vel.vx)
-    VY = _filled_grid(dom, state.vel.vy)
-    fwd = _feet(dom, VX, VY, dt)
+    gx, gy = _feet(dom, state.vel, dt)
     psi = state.psi.values
-    tol = 1e-14 * float(np.abs(psi).max(initial=0.0))
-    _project_feet(_filled_grid(dom, psi), psi, *fwd, tol)
     w0 = state.omega.values
-    raw = _bicubic(_filled_grid(dom, w0), *fwd)
-    lo, hi = _data_range(dom, w0, *fwd)
+    tol = 1e-14 * float(np.abs(psi).max(initial=0.0))
+    raw, base = _project_feet(
+        _filled_grid(dom, psi), psi, gx, gy, tol, _filled_grid(dom, w0)
+    )
+    lo, hi = _data_range(dom, w0, base)
     return np.clip(raw, lo, hi)
 
 

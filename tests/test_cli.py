@@ -5,6 +5,7 @@ import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arnoldstab import cli, grid
@@ -289,6 +290,32 @@ def test_malformed_value_is_config_error(argv, tmp_path, monkeypatch, capsys):
     assert "config error:" in err
     assert "unrecognized arguments" not in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady"],
+        ["probe"],
+        ["simulate", "--turnovers", "0.01"],
+        ["functional", "--functional", "Dhat", "--omega-const", "50"],
+    ],
+    ids=["steady", "probe", "simulate", "functional"],
+)
+def test_table_range_left_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    """A circulation that puts the steady psi range (here [-4.26, 0]), or the
+    extension interval around the input's psi, outside the table's knots
+    [-3, 3] is an input error, alike for every subcommand; inside, steady
+    certifies."""
+    monkeypatch.chdir(tmp_path)
+    knots = np.linspace(-3.0, 3.0, 61)
+    np.savetxt("tanh.csv", np.c_[knots, 0.8 * knots + 0.2 * np.tanh(2 * knots)], delimiter=",")
+    flags = [*BASE, "--g", "table:tanh.csv", "--out", str(tmp_path / "o")]
+    assert _exit_code(*argv, *flags, "--a", "30") == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "leaves the tabulated range [-3, 3]" in err
+    if argv == ["steady"]:
+        assert _exit_code(*argv, *flags, "--a", "1") == 0
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,159 @@ def test_contraction_matches_halving_loop(annulus16, rng):
     assert (k == 0).any() and ((k > 0) & (k < 30)).any() and (k == 30).any()
 
 
+# The transport kernel as first written, the reference for the stencil
+# kernel: one index array per stencil node, the Catmull-Rom weights in their
+# textbook form and nested sums.
+def _ref_cell(shape, gx, gy):
+    ny, nx = shape
+    i0 = np.clip(np.floor(gx).astype(np.int64), 1, nx - 3)
+    j0 = np.clip(np.floor(gy).astype(np.int64), 1, ny - 3)
+    fx = np.clip(gx - i0, 0.0, 1.0)
+    fy = np.clip(gy - j0, 0.0, 1.0)
+    return (j0 - 1) * nx + (i0 - 1), fx, fy
+
+
+def _ref_catmull_weights(t):
+    t2 = t * t
+    t3 = t2 * t
+    return (
+        -0.5 * t + t2 - 0.5 * t3,
+        1.0 - 2.5 * t2 + 1.5 * t3,
+        0.5 * t + 2.0 * t2 - 1.5 * t3,
+        -0.5 * t2 + 0.5 * t3,
+    )
+
+
+def _ref_catmull_slopes(t):
+    t2 = t * t
+    return (
+        -0.5 + 2.0 * t - 1.5 * t2,
+        -5.0 * t + 4.5 * t2,
+        0.5 + 4.0 * t - 4.5 * t2,
+        -t + 1.5 * t2,
+    )
+
+
+def _ref_dot4(w, f):
+    return w[0] * f[0] + w[1] * f[1] + w[2] * f[2] + w[3] * f[3]
+
+
+def _ref_stencil_rows(Fgrid, gx, gy):
+    nx = Fgrid.shape[1]
+    base, fx, fy = _ref_cell(Fgrid.shape, gx, gy)
+    flat = Fgrid.ravel()
+    rows = [[flat[base + (b * nx + a)] for a in range(4)] for b in range(4)]
+    return rows, fx, fy
+
+
+def _ref_bicubic(Fgrid, gx, gy):
+    rows, fx, fy = _ref_stencil_rows(Fgrid, gx, gy)
+    wx = _ref_catmull_weights(fx)
+    return _ref_dot4(_ref_catmull_weights(fy), [_ref_dot4(wx, r) for r in rows])
+
+
+def _ref_bicubic_grad(Fgrid, gx, gy):
+    rows, fx, fy = _ref_stencil_rows(Fgrid, gx, gy)
+    wx = _ref_catmull_weights(fx)
+    sx = _ref_catmull_slopes(fx)
+    wy = _ref_catmull_weights(fy)
+    along = [_ref_dot4(wx, r) for r in rows]
+    slope = [_ref_dot4(sx, r) for r in rows]
+    return _ref_dot4(wy, along), _ref_dot4(wy, slope), _ref_dot4(_ref_catmull_slopes(fy), along)
+
+
+def _ref_project_feet(Pgrid, target, gx, gy, tol):
+    """The projection loop as first written: every round gathers its feet
+    and builds their stencil afresh."""
+    todo = np.arange(gx.size)
+    for it in range(dyn._PROJECT_MAX_ITER):
+        if it == 1:
+            val = _ref_bicubic(Pgrid, gx[todo], gy[todo])
+        else:
+            val, px, py = _ref_bicubic_grad(Pgrid, gx[todo], gy[todo])
+        r = val - target[todo]
+        bad = np.abs(r) > tol
+        todo, r, px, py = todo[bad], r[bad], px[bad], py[bad]
+        if todo.size == 0:
+            return
+        g2 = px * px + py * py
+        cap = 0.25 * np.sqrt(g2)
+        s = np.divide(np.clip(r, -cap, cap), g2, out=np.zeros_like(r), where=g2 > 0)
+        gx[todo] -= s * px
+        gy[todo] -= s * py
+
+
+def test_stencil_kernel_equals_reference_bit_for_bit(annulus16, rng):
+    """Values and gradients on a stencil equal the reference kernel bit for
+    bit, also at points the clamp moves: off the frame on every side and on
+    the frame's last cell."""
+    dom = annulus16
+    F = dyn._filled_grid(dom, rng.standard_normal(dom.n_nodes))
+    ny, nx = F.shape
+    inside = rng.uniform((0.0, 0.0), (nx - 1.0, ny - 1.0), size=(500, 2)).T
+    off = rng.uniform((-3.0, -3.0), (nx + 2.0, ny + 2.0), size=(200, 2)).T
+    # the last cell of the clamped range starts at node nx - 3 (ny - 3)
+    last = np.array(
+        [
+            [nx - 3.0, nx - 2.5, nx - 2.0, nx - 1.0, 1.0, 0.5, 0.0],
+            [ny - 2.0, 0.0, ny - 3.0, 1.0, ny - 2.5, ny - 1.0, 0.25],
+        ]
+    )
+    gx, gy = np.concatenate([inside, off, last], axis=1)
+    clamped = (gx < 1) | (gx >= nx - 2) | (gy < 1) | (gy >= ny - 2)
+    assert clamped.sum() >= 50 and (~clamped).sum() >= 400
+    st = dyn._stencil(F.shape, gx, gy)
+    assert np.array_equal(st.base, _ref_cell(F.shape, gx, gy)[0])
+    assert np.array_equal(dyn._bicubic(F, st), _ref_bicubic(F, gx, gy))
+    st = dyn._stencil(F.shape, gx, gy, slopes=True)
+    for got, want in zip(dyn._bicubic_grad(F, st), _ref_bicubic_grad(F, gx, gy)):
+        assert np.array_equal(got, want)
+
+
+def test_projection_returns_omega_on_the_final_feet(basis32, stable_state32, monkeypatch):
+    """On one res-32 step the projection moves the feet as the reference
+    loop does, and the omega values and stencil bases it returns equal a
+    fresh `_bicubic` and `_cell` at the moved feet, including the feet that
+    the second round still moved (sampled again on their own stencil)."""
+    st = stable_state32
+    spec = dyn.PerturbationSpec(mode="bump", amplitude=0.01 * grid.lp_norm(st.omega_bar))
+    state = dyn.init_state(basis32, *dyn.perturb(st, spec))
+    dom = basis32.domain
+    vmax = max(np.abs(state.vel.vx).max(), np.abs(state.vel.vy).max())
+    gx, gy = dyn._feet(dom, state.vel, 0.5 * dom.h / vmax)
+    psi, w = state.psi.values, state.omega.values
+    P, W = dyn._filled_grid(dom, psi), dyn._filled_grid(dom, w)
+    tol = 1e-14 * np.abs(psi).max()
+    want = gx.copy(), gy.copy()
+    _ref_project_feet(P, psi, *want, tol)
+
+    omega_calls = []
+    real = dyn._bicubic
+
+    def recording(Fgrid, stencil):
+        if Fgrid is W:
+            omega_calls.append(stencil.base.size)
+        return real(Fgrid, stencil)
+
+    monkeypatch.setattr(dyn, "_bicubic", recording)
+    raw, base = dyn._project_feet(P, psi, gx, gy, tol, W)
+    assert gx.tobytes() == want[0].tobytes() and gy.tobytes() == want[1].tobytes()
+    assert omega_calls[0] == dom.n_nodes and 0 < omega_calls[1] < dom.n_nodes
+    assert np.array_equal(raw, real(W, dyn._stencil(W.shape, gx, gy)))
+    assert np.array_equal(raw, _ref_bicubic(W, gx, gy))
+    assert np.array_equal(base, dyn._cell(W.shape, gx, gy)[0])
+
+
+@pytest.mark.parametrize("which", ["annulus", "two-hole"])
+def test_filled_grid_keeps_each_node_value(which, annulus16, two_hole_basis, rng):
+    """The filled grid holds every non-exterior node's own value at the
+    node, bit for bit: `_feet` reads the node velocities directly."""
+    dom = annulus16 if which == "annulus" else two_hole_basis.domain
+    v = rng.standard_normal(dom.n_nodes)
+    got = dyn._filled_grid(dom, v)[dom.node_iy + dyn._PAD, dom.node_ix + dyn._PAD]
+    assert got.tobytes() == v.tobytes()
+
+
 def test_perturb_none(stable_state32):
     spec = dyn.PerturbationSpec(mode="none", amplitude=0.0)
     om0, b = dyn.perturb(stable_state32, spec)
