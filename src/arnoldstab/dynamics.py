@@ -306,7 +306,9 @@ def _feet(dom, vel, dt):
     fx = np.clip(mx - i0, 0.0, 1.0)
     fy = np.clip(my - j0, 0.0, 1.0)
     corner = j0 * nx + i0
-    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+    rx = 1 - fx
+    ry = 1 - fy
+    weights = (rx * ry, fx * ry, rx * fy, fx * fy)
     offsets = (0, 1, nx, nx + 1)
     dx = dt * _dot4(weights, [np.take(VX.ravel()[k:], corner) for k in offsets])
     dy = dt * _dot4(weights, [np.take(VY.ravel()[k:], corner) for k in offsets])
@@ -326,13 +328,14 @@ def _contract(dom, dx, dy):
     y0 = dom.origin[1] - _PAD * h
     cell_ok = _step_grids(dom).cell_ok
     ncy, ncx = cell_ok.shape
+    cell_flat = cell_ok.ravel()
 
     def outside(xs, ys, ex, ey):
         gx = (xs - ex - x0) / h
         gy = (ys - ey - y0) / h
         ci = np.clip(np.floor(gx).astype(np.int64), 0, ncx - 1)
         cj = np.clip(np.floor(gy).astype(np.int64), 0, ncy - 1)
-        bad = ~cell_ok[cj, ci]
+        bad = ~np.take(cell_flat, cj * ncx + ci)
         bad |= (gx < 0) | (gx > ncx) | (gy < 0) | (gy > ncy)
         return bad
 
@@ -587,13 +590,6 @@ class ExperimentReport:
 
     def write_csv(self, path):
         g.write_csv(path, [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
-
-    def monotone_in_amplitude(self, mode: str) -> bool:
-        rows = sorted(
-            (r for r in self.rows if r.mode == mode), key=lambda r: r.amplitude
-        )
-        sups = [r.sup_dist for r in rows]
-        return all(a <= b * (1 + 1e-9) for a, b in zip(sups, sups[1:]))
 
 
 def stability_experiment(

@@ -384,22 +384,6 @@ def velocity(psi: g.ScalarField) -> VelocityField:
     return VelocityField(dom, dy @ psi.values, -(dx @ psi.values))
 
 
-def divergence(v: VelocityField) -> g.ScalarField:
-    """Discrete divergence by plain central differences (diagnostic).
-
-    Exactly zero wherever the velocity itself came from commuting central
-    stencils; the thin ring of wall-adjacent nodes keeps an O(1) defect from
-    the one-sided reconstructions there, so the field-wide mean is O(h).
-    """
-    dom = v.domain
-    h = dom.h
-    out = np.zeros(dom.n_nodes)
-    ii = dom.interior_ids
-    e, w, n, s = (dom.nbr[ii, d] for d in range(4))
-    out[ii] = (v.vx[e] - v.vx[w]) / (2 * h) + (v.vy[n] - v.vy[s]) / (2 * h)
-    return g.ScalarField(dom, out)
-
-
 def kinetic_energy(v: VelocityField) -> float:
     """(1/2) integral of |v|^2 over the interior quadrature."""
     dom = v.domain

@@ -93,6 +93,9 @@ def x_decompose(basis: HarmonicBasis, u: g.ScalarField, tol: float = 1e-6):
     Requires u = 0 on the outer boundary and u constant on each inner
     component (within tol relative to the field scale).  Returns
     (theta, v) with u = sum theta_i zeta_i + v.
+
+    It is the decomposition of the constrained space (harmonic span plus
+    zero-boundary functions): no solver path needs it, the package exports it.
     """
     dom = basis.domain
     scale = max(1.0, g.linf(u))

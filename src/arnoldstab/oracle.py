@@ -45,8 +45,8 @@ class RadialProblem:
         return (self.r_out - self.r_in) / (self.n - 1)
 
 
-def _radial_fd(rp: RadialProblem, omega, a1, kappa=0.0, inner="flux"):
-    """Second-order FD solve of u'' + u'/r + kappa u = -omega(r).
+def _radial_fd(rp: RadialProblem, omega, a1, inner="flux"):
+    """Second-order FD solve of u'' + u'/r = -omega(r).
 
     Outer condition u(r_out) = 0.  Inner condition: either the flux condition
     2 pi r_in u'(r_in) = a1 ('flux', via a ghost node) or u(r_in) = a1
@@ -59,15 +59,13 @@ def _radial_fd(rp: RadialProblem, omega, a1, kappa=0.0, inner="flux"):
 
     # rows 0..n-2 unknown (u[n-1] = 0); banded tridiagonal storage
     lower = np.zeros(n - 1)
-    diag = np.zeros(n - 1)
+    diag = np.full(n - 1, -2.0 / dr**2)
     upper = np.zeros(n - 1)
     rhs = np.zeros(n - 1)
 
     i = np.arange(1, n - 1)
     ld = 1.0 / dr**2 - 1.0 / (2 * r[i] * dr)
-    dd = -2.0 / dr**2 + kappa
     ud = 1.0 / dr**2 + 1.0 / (2 * r[i] * dr)
-    diag[i] = dd
     lower[i - 1] = ld
     upper[i] = np.where(i + 1 <= n - 2, ud, 0.0)
     rhs[i] = -om[i]
@@ -75,7 +73,6 @@ def _radial_fd(rp: RadialProblem, omega, a1, kappa=0.0, inner="flux"):
     if inner == "flux":
         # ghost node u[-1] = u[1] - 2 dr u'(r_in), u'(r_in) = a1/(2 pi r_in)
         up0 = a1 / (2 * math.pi * rp.r_in)
-        diag[0] = -2.0 / dr**2 + kappa
         upper[0] = 2.0 / dr**2
         rhs[0] = -om[0] + up0 * (2.0 / dr - 1.0 / r[0])
     elif inner == "dirichlet":
@@ -98,12 +95,15 @@ def radial_stream(rp: RadialProblem, omega, a1: float):
 
     Returns u(r) on rp.r with u(r_out) = 0 and 2 pi r_in u'(r_in) = a1.
     """
-    return _radial_fd(rp, omega, a1, kappa=0.0, inner="flux")
+    return _radial_fd(rp, omega, a1, inner="flux")
 
 
 def radial_green(rp: RadialProblem, omega):
-    """Radial inverse Laplacian with u(r_in) = u(r_out) = 0."""
-    return _radial_fd(rp, omega, 0.0, kappa=0.0, inner="dirichlet")
+    """Radial inverse Laplacian with u(r_in) = u(r_out) = 0.
+
+    No solver path calls it: it is the tests' radial reference for the 2D
+    inverse Laplacian with zero boundary values."""
+    return _radial_fd(rp, omega, 0.0, inner="dirichlet")
 
 
 def radial_steady_linear(rp: RadialProblem, kappa: float, a1: float):
@@ -147,7 +147,10 @@ def _shoot(rp: RadialProblem, mu: float, u0: float, up0: float):
 
 def eigen_mismatch(rp: RadialProblem, mu: float) -> float:
     """Outer value of the unit-start zero-slope shoot; roots are eigenvalues
-    of the radial problem with u'(r_in) = 0 and u(r_out) = 0."""
+    of the radial problem with u'(r_in) = 0 and u(r_out) = 0.
+
+    It is `radial_eigen`'s mismatch for kind 'lambda_Y', kept public so that
+    tests can check the root search against the function it searches."""
     return float(_shoot(rp, mu, 1.0, 0.0)[-1])
 
 

@@ -488,13 +488,20 @@ def _mu_case(seed):
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_solve_mu_equals_plain_bisection(block):
+def test_solve_mu_equals_plain_bisection(block, monkeypatch):
     """Linear and affine profiles skip the midpoints whose sign is known and
-    still return the plain bisection's mu bit for bit."""
+    still return the plain bisection's mu bit for bit, with no more profile
+    evaluations than it (also where m is the computed sum, so that the
+    residual is exactly 0 at the first midpoint)."""
+    calls = _count_profile_calls(monkeypatch)
     for seed in range(100 * block, 100 * (block + 1)):
         dom, psi, gf, m = _mu_case(seed)
+        calls.clear()
         want = plain_bisection_mu(dom, psi, gf, m)
+        n_plain = len(calls)
+        calls.clear()
         assert same_float(fn.solve_mu(dom, psi, gf, m), want), seed
+        assert len(calls) <= n_plain, (seed, len(calls), n_plain)
 
 
 def _count_profile_calls(monkeypatch):
